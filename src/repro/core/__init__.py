@@ -6,7 +6,7 @@ Public surface:
   SAT check) and Algorithm 2 (satisfying-assignment determination);
 * :func:`nbl_sat_check` / :func:`nbl_sat_solve` — functional entry points;
 * :class:`SampledNBLEngine` — the Monte-Carlo realization the paper
-  simulated in MATLAB;
+  simulated in MATLAB, evaluating ``S_N`` through :class:`SNKernel`;
 * :class:`SymbolicNBLEngine` — the exact, infinite-observation limit;
 * :class:`NBLConfig` — engine configuration (carriers, sample budgets,
   thresholds);
@@ -15,7 +15,11 @@ Public surface:
 
 from repro.core.config import NBLConfig, paper_figure1_config
 from repro.core.result import AssignmentResult, CheckResult
-from repro.core.sampled import SampledNBLEngine
+from repro.core.sampled import (
+    SampledNBLEngine,
+    SNKernel,
+    check_signal_level,
+)
 from repro.core.symbolic import SymbolicNBLEngine
 from repro.core.checker import ENGINE_NAMES, make_engine, nbl_sat_check
 from repro.core.assignment import (
@@ -26,6 +30,7 @@ from repro.core.assignment import (
 )
 from repro.core.solver import NBLSATSolver
 from repro.core.sigma import (
+    SigmaPlan,
     sigma_samples,
     clause_superposition_samples,
     clause_minterm_sets,
@@ -46,6 +51,8 @@ __all__ = [
     "AssignmentResult",
     "CheckResult",
     "SampledNBLEngine",
+    "SNKernel",
+    "check_signal_level",
     "SymbolicNBLEngine",
     "ENGINE_NAMES",
     "make_engine",
@@ -55,6 +62,7 @@ __all__ = [
     "find_prime_implicant_cube",
     "nbl_sat_solve",
     "NBLSATSolver",
+    "SigmaPlan",
     "sigma_samples",
     "clause_superposition_samples",
     "clause_minterm_sets",

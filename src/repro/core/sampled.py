@@ -4,20 +4,77 @@ This is the software realization the paper validated in MATLAB (Section IV):
 the basis noise sources are sampled, ``τ_N`` and ``Σ_N`` are evaluated on
 each sample, and the average of ``S_N = τ_N · Σ_N`` is accumulated until it
 either converges or the sample budget is exhausted.
+
+:class:`SNKernel` is the one ``S_N`` evaluator of the package (the sampled,
+RTW and SBL engines all use it). It walks each freshly drawn block in tiles
+of :data:`TILE_SAMPLES` samples and evaluates ``τ_N`` and ``Σ_N`` on one
+tile after the other, so a tile's sources and intermediates stay in cache
+and every buffer is reused across tiles, blocks and checks.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional
 
+import numpy as np
+
 from repro.cnf.formula import CNFFormula
 from repro.core.config import NBLConfig
 from repro.core.result import CheckResult
-from repro.core.sigma import sigma_samples
+from repro.core.sigma import SigmaPlan, sigma_samples
 from repro.exceptions import EngineError
 from repro.hyperspace.reference import reference_hyperspace
 from repro.noise.bank import NoiseBank
 from repro.utils.stats import RunningStats
+from repro.utils.workspace import Workspace
+
+#: Samples per tile of the fused τ·Σ loop. For Example 5 (24 sources) a
+#: tile's sources take 1.5 MB and its intermediates about 1 MB, so they stay
+#: in cache between the τ and Σ passes; tiles of 4k-16k samples timed within
+#: 10% of each other, whole 100k-sample blocks about 60% slower.
+TILE_SAMPLES = 8192
+
+
+class SNKernel:
+    """``S_N = τ_N · Σ_N`` on sample blocks of one formula, tile by tile.
+
+    The formula is compiled once into a :class:`~repro.core.sigma.SigmaPlan`;
+    the kernel's :class:`~repro.utils.workspace.Workspace` holds the block
+    buffer handed to :meth:`NoiseBank.sample_block
+    <repro.noise.bank.NoiseBank.sample_block>`, the ``S_N`` vector and every
+    τ/Σ intermediate.
+    """
+
+    def __init__(self, formula: CNFFormula) -> None:
+        self._plan = SigmaPlan.from_formula(formula)
+        self._workspace = Workspace()
+
+    def block_buffer(self, size: int) -> np.ndarray:
+        """The reusable ``(m, n, 2, size)`` buffer to draw the next block into."""
+        plan = self._plan
+        return self._workspace.take("block", plan.num_clauses, plan.num_variables, 2, size)
+
+    def evaluate(
+        self, block: np.ndarray, bindings: Optional[Mapping[int, bool]] = None
+    ) -> np.ndarray:
+        """``S_N`` samples of ``block``, with ``bindings`` applied to ``τ_N``.
+
+        The result is a view of a buffer the next call overwrites.
+        """
+        workspace = self._workspace
+        size = block.shape[-1]
+        sn = workspace.take("sn", size)
+        for start in range(0, size, TILE_SAMPLES):
+            stop = min(start + TILE_SAMPLES, size)
+            tile = block[..., start:stop]
+            tau = reference_hyperspace(
+                tile, bindings, out=workspace.take("tau", stop - start), workspace=workspace
+            )
+            sigma = sigma_samples(
+                tile, self._plan, out=workspace.take("sigma", stop - start), workspace=workspace
+            )
+            np.multiply(tau, sigma, out=sn[start:stop])
+        return sn
 
 
 class SampledNBLEngine:
@@ -47,6 +104,8 @@ class SampledNBLEngine:
             )
         self._formula = formula
         self._config = config if config is not None else NBLConfig()
+        check_signal_level(self.minterm_signal, self._config.carrier.describe())
+        self._kernel = SNKernel(formula)
         self._bank = NoiseBank(
             num_clauses=formula.num_clauses,
             num_variables=formula.num_variables,
@@ -94,10 +153,7 @@ class SampledNBLEngine:
         should use :meth:`check`.
         """
         size = block_size if block_size is not None else self._config.block_size
-        block = self._bank.sample_block(size)
-        tau = reference_hyperspace(block, bindings)
-        sigma = sigma_samples(block, self._formula)
-        return tau * sigma
+        return self._sample_sn(size, bindings).copy()
 
     def check(self, bindings: Optional[Mapping[int, bool]] = None) -> CheckResult:
         """Algorithm 1: estimate the mean of ``S_N`` and decide SAT/UNSAT.
@@ -126,10 +182,7 @@ class SampledNBLEngine:
         while stats.count < config.max_samples:
             remaining = config.max_samples - stats.count
             size = min(config.block_size, remaining)
-            block = self._bank.sample_block(size)
-            tau = reference_hyperspace(block, bindings)
-            sigma = sigma_samples(block, self._formula)
-            stats.push_batch(tau * sigma)
+            stats.push_batch(self._sample_sn(size, bindings))
 
             if config.record_trace:
                 trace_samples.append(stats.count)
@@ -160,6 +213,10 @@ class SampledNBLEngine:
         )
 
     # -- helpers -------------------------------------------------------------------
+    def _sample_sn(self, size: int, bindings: Optional[Mapping[int, bool]]) -> np.ndarray:
+        block = self._bank.sample_block(size, out=self._kernel.block_buffer(size))
+        return self._kernel.evaluate(block, bindings)
+
     def _validate_bindings(self, bindings: Mapping[int, bool]) -> None:
         for variable in bindings:
             if not 1 <= variable <= self._formula.num_variables:
@@ -172,4 +229,20 @@ class SampledNBLEngine:
         return (
             f"SampledNBLEngine(n={self._formula.num_variables}, "
             f"m={self._formula.num_clauses}, carrier={self._config.carrier.name})"
+        )
+
+
+def check_signal_level(signal: float, carrier: str) -> None:
+    """Refuse a one-minterm signal level that float64 cannot represent.
+
+    Below the smallest normal double the threshold and the estimated mean
+    both round to zero (or lose all precision), so every check would answer
+    UNSAT whatever the formula. With the paper's uniform [-0.5, 0.5]
+    carrier this happens once ``n·m > 285``.
+    """
+    if not signal >= np.finfo(np.float64).tiny:
+        raise EngineError(
+            f"one-minterm signal {signal:.3g} of the {carrier} underflows float64 "
+            "(every check would read UNSAT); use a unit-power carrier such as "
+            "UniformCarrier(normalized=True) or BipolarCarrier()"
         )

@@ -22,12 +22,16 @@ the mean of ``τ_N · Σ_N`` is exactly ``K · E[x²]^{n·m}``.
 Two evaluators are provided:
 
 * :func:`sigma_samples` — the sampled signal on a carrier block, used by the
-  Monte-Carlo engine;
+  Monte-Carlo engine; the per-clause builder
+  :func:`clause_superposition_samples` is its readable reference;
 * :func:`clause_minterm_sets` / :func:`satisfying_minterms` — the exact
   minterm-set view used by the symbolic engine.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,6 +42,8 @@ from repro.hyperspace.superposition import (
     clause_cube_subspace,
     clause_full_superposition,
 )
+from repro.noise.bank import NEGATIVE, POSITIVE
+from repro.utils.workspace import Workspace
 
 
 def falsifying_cube_bindings(clause) -> dict[int, bool] | None:
@@ -76,29 +82,109 @@ def clause_superposition_samples(
     return full - clause_cube_subspace(block, clause_index, bindings)
 
 
-def sigma_samples(block: np.ndarray, formula: CNFFormula) -> np.ndarray:
-    """Sampled ``Σ_N = Π_j Z_j`` for the whole formula on one carrier block."""
+@dataclass(frozen=True)
+class SigmaPlan:
+    """``Σ_N`` of one formula compiled to the index rows the evaluator uses.
+
+    Attributes
+    ----------
+    num_clauses, num_variables:
+        The formula's ``m`` and ``n``.
+    cube_rows:
+        One ``(clause, variable, polarity)`` triple (0-based rows, polarity
+        :data:`~repro.noise.bank.POSITIVE` or
+        :data:`~repro.noise.bank.NEGATIVE`) per variable a clause's
+        falsifying cube binds: on that row the cube takes the single source
+        ``N^j_{x_v}`` or ``N^j_{~x_v}`` instead of the pair sum.
+    tautologies:
+        Indices of tautological clauses: their cube is empty, so nothing is
+        subtracted from their full superposition.
+    has_empty_clause:
+        Whether some clause is empty (``Z_j = 0`` forces ``Σ_N = 0``).
+    """
+
+    num_clauses: int
+    num_variables: int
+    cube_rows: tuple[tuple[int, int, int], ...]
+    tautologies: np.ndarray
+    has_empty_clause: bool
+
+    @classmethod
+    def from_formula(cls, formula: CNFFormula) -> "SigmaPlan":
+        """Compile ``formula`` (one pass over its literals)."""
+        cube_rows = []
+        tautologies = []
+        for row, clause in enumerate(formula.clauses):
+            bindings = falsifying_cube_bindings(clause)
+            if bindings is None:
+                tautologies.append(row)
+                continue
+            for variable, value in bindings.items():
+                cube_rows.append((row, variable - 1, POSITIVE if value else NEGATIVE))
+        return cls(
+            num_clauses=formula.num_clauses,
+            num_variables=formula.num_variables,
+            cube_rows=tuple(cube_rows),
+            tautologies=np.asarray(tautologies, dtype=np.intp),
+            has_empty_clause=any(clause.is_empty for clause in formula.clauses),
+        )
+
+
+def sigma_samples(
+    block: np.ndarray,
+    formula: Union[CNFFormula, SigmaPlan],
+    out: Optional[np.ndarray] = None,
+    workspace: Optional[Workspace] = None,
+) -> np.ndarray:
+    """Sampled ``Σ_N = Π_j Z_j`` for the whole formula on one carrier block.
+
+    ``formula`` is the instance or its compiled :class:`SigmaPlan` (which
+    the engines build once and reuse for every tile). Every clause is
+    evaluated at once: ``Z_j = T^j − T^j_cube`` with ``T^j`` the product of
+    the pair sums ``N^j_x + N^j_~x`` and the cube taking the single
+    falsifying source on the clause's rows. ``out`` and ``workspace`` are
+    optional result and scratch buffers, as in
+    :func:`repro.hyperspace.reference.reference_hyperspace`.
+    """
+    plan = formula if isinstance(formula, SigmaPlan) else SigmaPlan.from_formula(formula)
     arr = np.asarray(block)
     if arr.ndim != 4 or arr.shape[2] != 2:
         raise EngineError(f"sample block must have shape (m, n, 2, B), got {arr.shape}")
-    if arr.shape[0] != formula.num_clauses:
+    if arr.shape[0] != plan.num_clauses:
         raise EngineError(
             f"block has {arr.shape[0]} clause rows but formula has "
-            f"{formula.num_clauses} clauses"
+            f"{plan.num_clauses} clauses"
         )
-    if arr.shape[1] != formula.num_variables:
+    if arr.shape[1] != plan.num_variables:
         raise EngineError(
             f"block has {arr.shape[1]} variable rows but formula has "
-            f"{formula.num_variables} variables"
+            f"{plan.num_variables} variables"
         )
-    if formula.num_clauses == 0:
+    m, n, _, size = arr.shape
+    if out is None:
+        out = np.empty(size, dtype=np.float64)
+    if m == 0:
         # An empty conjunction is trivially satisfied by every minterm: Σ_N
         # degenerates to the constant 1 signal.
-        return np.ones(arr.shape[-1], dtype=np.float64)
-    result = clause_superposition_samples(arr, 1, formula)
-    for clause_index in range(2, formula.num_clauses + 1):
-        result = result * clause_superposition_samples(arr, clause_index, formula)
-    return result
+        out.fill(1.0)
+        return out
+    if plan.has_empty_clause:
+        # An empty clause has no satisfying minterm: its Z_j is the zero
+        # signal, which forces Σ_N (and hence S_N) to zero.
+        out.fill(0.0)
+        return out
+    workspace = workspace if workspace is not None else Workspace()
+    positive = arr[:, :, POSITIVE, :]
+    negative = arr[:, :, NEGATIVE, :]
+    terms = np.add(positive, negative, out=workspace.take("sigma.terms", m, n, size))
+    full = np.multiply.reduce(terms, axis=1, out=workspace.take("sigma.full", m, size))
+    for clause, variable, polarity in plan.cube_rows:
+        np.copyto(terms[clause, variable], arr[clause, variable, polarity])
+    cube = np.multiply.reduce(terms, axis=1, out=workspace.take("sigma.cube", m, size))
+    if plan.tautologies.size:
+        cube[plan.tautologies] = 0.0
+    clauses = np.subtract(full, cube, out=full)
+    return np.multiply.reduce(clauses, axis=0, out=out)
 
 
 def clause_minterm_sets(formula: CNFFormula) -> list[MintermSet]:

@@ -5,8 +5,8 @@ noise sources**: for every clause ``c_j`` (j = 1..m) and every variable
 ``x_i`` (i = 1..n) there is one source ``N^j_{x_i}`` for the positive literal
 and one source ``N^j_{~x_i}`` for the negative literal. :class:`NoiseBank`
 materialises batches of samples of all of these sources as a single NumPy
-array of shape ``(m, n, 2, block)`` so the Σ/τ builders can work fully
-vectorised.
+array of shape ``(m, n, 2, block)`` -- freshly allocated, or drawn in place
+into a caller's buffer -- so the Σ/τ builders can work fully vectorised.
 """
 
 from __future__ import annotations
@@ -117,16 +117,31 @@ class NoiseBank:
         return self._samples_drawn
 
     # -- sampling -----------------------------------------------------------
-    def sample_block(self, block_size: int) -> np.ndarray:
+    def sample_block(self, block_size: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Draw ``block_size`` fresh samples of every source.
 
         Returns an array of shape ``(m, n, 2, block_size)``; axis 2 indexes
-        polarity (:data:`POSITIVE` then :data:`NEGATIVE`). Consecutive calls
-        continue the same sample streams (the bank is a stateful generator).
+        polarity (:data:`POSITIVE` then :data:`NEGATIVE`). With ``out`` (a
+        C-contiguous float64 array of that shape) the carrier fills it in
+        place and it is returned; the engines pass the same buffer for every
+        block of every check.
+
+        Consecutive calls draw from one generator, so i.i.d. carriers
+        continue the same sample streams. :class:`TelegraphCarrier` is the
+        exception: each block restarts every wave with a fresh random sign,
+        so its sign persistence does not carry across block boundaries.
         """
         check_positive_int(block_size, "block_size")
         shape = (self._num_clauses, self._num_variables, 2, block_size)
-        block = self._carrier.sample(self._rng, shape)
+        if out is None:
+            block = self._carrier.sample(self._rng, shape)
+        elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise NoiseConfigError(
+                f"out must be a C-contiguous float64 array of shape {shape}, got "
+                f"{out.dtype} {out.shape}"
+            )
+        else:
+            block = self._carrier.fill(self._rng, out)
         if block.shape != shape:
             raise NoiseConfigError(
                 f"carrier {self._carrier.name!r} returned shape {block.shape}, "

@@ -11,22 +11,59 @@ time) live in :mod:`repro.sbl` instead.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Sequence, Type
+from typing import Dict, Iterator, Sequence, Type
 
 import numpy as np
 
 from repro.exceptions import NoiseConfigError
 
 
+#: Values drawn per RNG call by the in-place ``fill`` implementations: one
+#: chunk's scaling passes run while it is still in cache.
+FILL_CHUNK = 1 << 16
+
+
+def fill_chunks(out: np.ndarray) -> Iterator[np.ndarray]:
+    """Flat, contiguous views covering ``out`` in :data:`FILL_CHUNK` pieces.
+
+    Chunking only changes how many values each RNG call draws, never which
+    values are drawn: the stream is consumed in the same order as one call
+    over the whole array.
+    """
+    if out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise NoiseConfigError("fill needs a C-contiguous float64 array")
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, FILL_CHUNK):
+        yield flat[start:start + FILL_CHUNK]
+
+
 class Carrier(abc.ABC):
-    """Abstract statistical family of one basis noise process."""
+    """Abstract statistical family of one basis noise process.
+
+    Subclasses implement :meth:`sample` or :meth:`fill` (or both); each
+    method's default is written in terms of the other.
+    """
 
     #: Short registry name, overridden by subclasses.
     name: str = "abstract"
 
-    @abc.abstractmethod
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.sample is Carrier.sample and cls.fill is Carrier.fill:
+            raise TypeError(f"{cls.__name__} must implement sample() or fill()")
+
     def sample(self, rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
         """Draw an array of i.i.d. carrier samples of the given ``shape``."""
+        return self.fill(rng, np.empty(tuple(shape), dtype=np.float64))
+
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Overwrite ``out`` with i.i.d. carrier samples and return it.
+
+        The default draws through :meth:`sample` and copies; the paper's
+        carriers override it to draw in place without temporaries.
+        """
+        out[...] = self.sample(rng, out.shape)
+        return out
 
     @property
     @abc.abstractmethod

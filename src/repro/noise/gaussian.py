@@ -7,12 +7,10 @@ ablation compare the paper's uniform sources against that physical model.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.exceptions import NoiseConfigError
-from repro.noise.base import Carrier, register_carrier
+from repro.noise.base import Carrier, fill_chunks, register_carrier
 
 
 @register_carrier
@@ -26,8 +24,12 @@ class GaussianCarrier(Carrier):
             raise NoiseConfigError(f"std must be positive, got {std}")
         self.std = float(std)
 
-    def sample(self, rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
-        return rng.normal(0.0, self.std, size=tuple(shape))
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        for chunk in fill_chunks(out):
+            # std·z, the arithmetic of rng.normal(0, std): same stream.
+            rng.standard_normal(out=chunk)
+            chunk *= self.std
+        return out
 
     @property
     def power(self) -> float:

@@ -13,11 +13,11 @@ NBL-SAT:
   the carrier ablation.
 
 :class:`BipolarCarrier` flips an independent fair coin per sample (the
-discrete-time idealisation). :class:`TelegraphCarrier` models the
-continuous-time RTW sampled at a finite rate: the sign persists between
-switching events that arrive with a per-sample switching probability,
-introducing temporal correlation *within* one source while keeping distinct
-sources independent.
+discrete-time idealisation), drawing exactly one random bit per value.
+:class:`TelegraphCarrier` models the continuous-time RTW sampled at a
+finite rate: the sign persists between switching events that arrive with a
+per-sample switching probability, introducing temporal correlation *within*
+one source while keeping distinct sources independent.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import NoiseConfigError
-from repro.noise.base import Carrier, register_carrier
+from repro.noise.base import Carrier, fill_chunks, register_carrier
 
 
 @register_carrier
@@ -41,9 +41,15 @@ class BipolarCarrier(Carrier):
             raise NoiseConfigError(f"amplitude must be positive, got {amplitude}")
         self.amplitude = float(amplitude)
 
-    def sample(self, rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
-        signs = rng.integers(0, 2, size=tuple(shape)).astype(np.float64) * 2.0 - 1.0
-        return signs * self.amplitude
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        amplitude = self.amplitude
+        for chunk in fill_chunks(out):
+            # One random bit per value: bit 1 -> +a, bit 0 -> -a.
+            raw = np.frombuffer(rng.bytes((chunk.size + 7) // 8), dtype=np.uint8)
+            bits = np.unpackbits(raw, count=chunk.size)
+            np.multiply(bits, 2.0 * amplitude, out=chunk)
+            chunk -= amplitude
+        return out
 
     @property
     def power(self) -> float:

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.exceptions import NoiseConfigError
-from repro.noise.base import Carrier, register_carrier
+from repro.noise.base import Carrier, fill_chunks, register_carrier
 
 
 @register_carrier
@@ -32,8 +30,14 @@ class UniformCarrier(Carrier):
             half_width = float(np.sqrt(3.0))
         self.half_width = float(half_width)
 
-    def sample(self, rng: np.random.Generator, shape: Sequence[int]) -> np.ndarray:
-        return rng.uniform(-self.half_width, self.half_width, size=tuple(shape))
+    def fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        width = self.half_width
+        for chunk in fill_chunks(out):
+            # -a + 2a·u, the arithmetic of rng.uniform(-a, a): same stream.
+            rng.random(out=chunk)
+            chunk *= 2.0 * width
+            chunk -= width
+        return out
 
     @property
     def power(self) -> float:

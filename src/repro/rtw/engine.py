@@ -21,10 +21,8 @@ import numpy as np
 from repro.cnf.formula import CNFFormula
 from repro.core.config import NBLConfig
 from repro.core.result import CheckResult
-from repro.core.sampled import SampledNBLEngine
-from repro.core.sigma import sigma_samples
+from repro.core.sampled import SampledNBLEngine, SNKernel
 from repro.exceptions import EngineError
-from repro.hyperspace.reference import reference_hyperspace
 from repro.noise.bank import NoiseBank
 from repro.noise.telegraph import BipolarCarrier, TelegraphCarrier
 from repro.utils.rng import SeedLike
@@ -111,6 +109,7 @@ def instantaneous_margin(
         raise EngineError("num_observations and block_size must be positive")
     carrier = BipolarCarrier()
     threshold = 0.5  # one-minterm level is exactly 1 for bipolar carriers
+    kernel = SNKernel(formula)
     hits = 0
     for index in range(num_observations):
         bank = NoiseBank(
@@ -119,9 +118,7 @@ def instantaneous_margin(
             carrier=carrier,
             seed=None if seed is None else (hash((seed, index)) & 0x7FFFFFFF),
         )
-        block = bank.sample_block(block_size)
-        tau = reference_hyperspace(block, None)
-        sigma = sigma_samples(block, formula)
-        if float(np.mean(tau * sigma)) > threshold:
+        block = bank.sample_block(block_size, out=kernel.block_buffer(block_size))
+        if float(np.mean(kernel.evaluate(block))) > threshold:
             hits += 1
     return hits / num_observations

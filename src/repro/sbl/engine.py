@@ -6,9 +6,8 @@ from typing import Mapping, Optional
 
 from repro.cnf.formula import CNFFormula
 from repro.core.result import CheckResult
-from repro.core.sigma import sigma_samples
+from repro.core.sampled import SNKernel, check_signal_level
 from repro.exceptions import EngineError
-from repro.hyperspace.reference import reference_hyperspace
 from repro.sbl.carriers import SinusoidBank
 from repro.sbl.frequency_plan import FrequencyPlan
 from repro.utils.rng import SeedLike
@@ -71,6 +70,10 @@ class SBLNBLEngine:
         self._seed = seed
         self._plan = plan
         self._check_counter = 0
+        check_signal_level(
+            self.minterm_signal, f"sinusoid carrier (power={amplitude**2 / 2.0:.4g})"
+        )
+        self._kernel = SNKernel(formula)
 
     # -- derived quantities ------------------------------------------------------
     @property
@@ -108,10 +111,7 @@ class SBLNBLEngine:
         threshold = self.decision_threshold
         while stats.count < self._max_samples:
             size = min(self._block_size, self._max_samples - stats.count)
-            block = bank.sample_block(size)
-            tau = reference_hyperspace(block, bindings)
-            sigma = sigma_samples(block, self.formula)
-            stats.push_batch(tau * sigma)
+            stats.push_batch(self._kernel.evaluate(bank.sample_block(size), bindings))
         return CheckResult(
             satisfiable=stats.mean > threshold,
             mean=stats.mean,

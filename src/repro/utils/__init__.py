@@ -19,6 +19,7 @@ from repro.utils.validation import (
     check_probability,
     check_in_choices,
 )
+from repro.utils.workspace import Workspace
 
 __all__ = [
     "RandomState",
@@ -36,4 +37,5 @@ __all__ = [
     "check_positive_float",
     "check_probability",
     "check_in_choices",
+    "Workspace",
 ]

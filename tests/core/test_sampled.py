@@ -19,6 +19,8 @@ from repro.core.symbolic import SymbolicNBLEngine
 from repro.exceptions import EngineError
 from repro.noise.telegraph import BipolarCarrier
 from repro.noise.uniform import UniformCarrier
+from repro.rtw import RTWNBLEngine
+from repro.sbl import SBLNBLEngine
 
 
 class TestConstruction:
@@ -37,6 +39,37 @@ class TestConstruction:
         engine = SampledNBLEngine(sat_instance, fast_bipolar_config)
         with pytest.raises(EngineError):
             engine.check({9: True})
+
+
+def chain_formula(n: int = 20) -> CNFFormula:
+    """A satisfiable n-variable, n-clause chain (n·m = 400 for n = 20)."""
+    return CNFFormula.from_ints([[i, i % n + 1] for i in range(1, n + 1)], n)
+
+
+class TestSignalUnderflow:
+    """``(1/12)^(n·m)`` below float64's smallest normal must not read UNSAT."""
+
+    def test_uniform_carrier_underflow_is_refused(self):
+        with pytest.raises(EngineError, match="normalized=True"):
+            SampledNBLEngine(chain_formula(), NBLConfig(carrier=UniformCarrier()))
+
+    def test_unit_power_carriers_are_accepted(self):
+        for carrier in (UniformCarrier(normalized=True), BipolarCarrier()):
+            engine = SampledNBLEngine(chain_formula(), NBLConfig(carrier=carrier))
+            assert engine.minterm_signal == pytest.approx(1.0)
+
+    def test_largest_representable_uniform_instance_is_accepted(self):
+        # n·m = 284: (1/12)^284 ≈ 3e-307 is still a normal double.
+        formula = CNFFormula.from_ints([[1, 2]] * 142, 2)
+        assert SampledNBLEngine(formula).minterm_signal >= np.finfo(float).tiny
+        with pytest.raises(EngineError):
+            SampledNBLEngine(CNFFormula.from_ints([[1, 2]] * 143, 2))
+
+    def test_rtw_and_sbl_engines_refuse_underflow(self):
+        with pytest.raises(EngineError):
+            RTWNBLEngine(chain_formula(), amplitude=0.1)
+        with pytest.raises(EngineError):
+            SBLNBLEngine(chain_formula(40))  # (1/2)^1600
 
 
 class TestDecisions:

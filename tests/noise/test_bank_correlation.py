@@ -94,6 +94,32 @@ class TestNoiseBank:
         assert max_off_diagonal_correlation(flat) < 0.03
 
 
+    def test_sample_block_fills_a_caller_buffer(self):
+        bank = NoiseBank(2, 3, seed=4)
+        out = np.empty((2, 3, 2, 50))
+        assert bank.sample_block(50, out=out) is out
+        assert np.array_equal(out, NoiseBank(2, 3, seed=4).sample_block(50))
+        assert bank.samples_drawn == 50
+
+    def test_sample_block_rejects_a_mismatched_buffer(self):
+        bank = NoiseBank(2, 3, seed=4)
+        for bad in (np.empty((2, 3, 2, 49)), np.empty((2, 3, 2, 50), dtype=np.float32),
+                    np.empty((2, 3, 2, 100))[..., ::2]):
+            with pytest.raises(NoiseConfigError):
+                bank.sample_block(50, out=bad)
+
+    @pytest.mark.parametrize("block_size", [60_000, 60_003])
+    def test_bipolar_sources_are_pairwise_uncorrelated(self, block_size):
+        """One-bit bipolar draws: every pair of the 2·m·n sources, across fill chunks."""
+        bank = NoiseBank(3, 3, carrier=BipolarCarrier(), seed=2)
+        block = bank.sample_block(block_size, out=np.empty((3, 3, 2, block_size)))
+        flat = block.reshape(bank.num_sources, -1)
+        assert max_off_diagonal_correlation(flat) < 0.03
+        # Consecutive blocks of one source do not repeat each other.
+        following = bank.sample_block(block_size).reshape(bank.num_sources, -1)
+        assert np.max(np.abs(np.mean(flat * following, axis=1))) < 0.03
+
+
 class TestCorrelationHelpers:
     def test_correlation_of_identical_signal_is_power(self, rng):
         x = rng.uniform(-0.5, 0.5, 10_000)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NoiseConfigError
-from repro.noise.base import available_carriers, carrier_from_name
+from repro.noise.base import Carrier, available_carriers, carrier_from_name
 from repro.noise.gaussian import GaussianCarrier
 from repro.noise.telegraph import BipolarCarrier, TelegraphCarrier
 from repro.noise.uniform import UniformCarrier
@@ -124,3 +124,63 @@ class TestEqualityAndDescription:
 
     def test_describe_mentions_power(self):
         assert "power" in UniformCarrier().describe()
+
+
+class TestInPlaceFill:
+    """``Carrier.fill`` draws into a caller's buffer without moving the streams."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 2, 1_001), (70_000,)])
+    @pytest.mark.parametrize("half_width", [0.5, 0.37, float(np.sqrt(3.0))])
+    def test_uniform_fill_is_bit_identical_to_rng_uniform(self, shape, half_width):
+        expected = np.random.default_rng(5).uniform(-half_width, half_width, size=shape)
+        out = np.empty(shape)
+        result = UniformCarrier(half_width=half_width).fill(np.random.default_rng(5), out)
+        assert result is out
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3, 2, 1_001), (70_000,)])
+    @pytest.mark.parametrize("std", [1.0, 0.3])
+    def test_gaussian_fill_matches_rng_normal(self, shape, std):
+        expected = np.random.default_rng(6).normal(0.0, std, size=shape)
+        out = GaussianCarrier(std=std).fill(np.random.default_rng(6), np.empty(shape))
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("carrier", ALL_CARRIERS, ids=repr)
+    def test_sample_and_fill_draw_the_same_stream(self, carrier):
+        shape = (3, 2, 4_099)
+        sampled = carrier.sample(np.random.default_rng(7), shape)
+        filled = carrier.fill(np.random.default_rng(7), np.empty(shape))
+        assert np.array_equal(sampled, filled)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 0.5, 3.0])
+    def test_bipolar_values_are_exactly_plus_minus_amplitude(self, amplitude):
+        out = BipolarCarrier(amplitude).fill(np.random.default_rng(8), np.empty((5, 20_003)))
+        assert set(np.unique(out).tolist()) == {-amplitude, amplitude}
+
+    @pytest.mark.parametrize("size", [1_000_000, 1_000_003, 999_997])
+    def test_bipolar_coin_is_fair(self, size):
+        """The share of +a is within 4σ of 1/2, sizes not a multiple of 8 too."""
+        out = BipolarCarrier().fill(np.random.default_rng(size), np.empty(size))
+        share = np.count_nonzero(out > 0) / size
+        assert abs(share - 0.5) <= 4 * 0.5 / np.sqrt(size)
+
+    def test_bipolar_consecutive_values_are_uncorrelated(self):
+        out = BipolarCarrier().fill(np.random.default_rng(9), np.empty(400_000))
+        for lag in (1, 7, 8, 9, 64):
+            assert abs(np.mean(out[lag:] * out[:-lag])) < 4 / np.sqrt(out.size)
+
+    def test_fill_rejects_non_contiguous_or_wrong_dtype(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(NoiseConfigError):
+            UniformCarrier().fill(rng, np.empty((4, 6))[:, ::2])
+        with pytest.raises(NoiseConfigError):
+            BipolarCarrier().fill(rng, np.empty(8, dtype=np.float32))
+
+    def test_default_fill_copies_a_sample(self):
+        out = np.empty((2, 300))
+        TelegraphCarrier(switch_probability=0.2).fill(np.random.default_rng(1), out)
+        assert set(np.unique(out).tolist()) <= {-1.0, 1.0}
+
+    def test_a_carrier_must_implement_sample_or_fill(self):
+        with pytest.raises(TypeError):
+            type("Hollow", (Carrier,), {"power": property(lambda self: 1.0)})

@@ -78,6 +78,13 @@ class TestExecution:
         outcome = execute_job(job)
         assert outcome.status == "UNSAT" and outcome.verified
 
+    def test_sampled_job_with_underflowing_signal_is_an_error(self):
+        """The paper's carrier cannot represent (1/12)^400: ERROR, never UNSAT."""
+        formula = CNFFormula.from_ints([[i, i % 20 + 1] for i in range(1, 21)], 20)
+        outcome = execute_job(SolveJob(formula=formula, solver="nbl-sampled", samples=1_000))
+        assert outcome.status == "ERROR"
+        assert "EngineError" in outcome.error and "underflows" in outcome.error
+
     def test_symbolic_job_beyond_variable_limit_fails_fast(self):
         job = SolveJob(formula=random_ksat(30, 60, seed=0), solver="nbl-symbolic")
         outcome = execute_job(job)
