@@ -276,8 +276,9 @@ class Preprocessor:
         deadline:
             Optional ``time.monotonic()`` value after which simplification
             stops cooperatively: the pipeline checks it at the start of
-            each round and before the expensive passes (subsumption, BVE),
-            so an expired budget overshoots by at most one technique pass.
+            each round and before each expensive pass (subsumption, BCE,
+            BVE), so an expired budget overshoots by at most one technique
+            pass.
             The partially-simplified result is sound — every state between
             technique passes is equisatisfiable with reconstruction —
             and is flagged via :attr:`PreprocessStats.interrupted`.
@@ -334,6 +335,9 @@ class Preprocessor:
                         break
                     if "subsumption" in self.techniques:
                         changed |= self._subsume_and_strengthen(db, stats, proof)
+                    if self._expired(deadline):
+                        stats.interrupted = True
+                        break
                     if "bce" in self.techniques:
                         changed |= self._eliminate_blocked(
                             db, stack, stats, frozen_set, proof
@@ -368,6 +372,11 @@ class Preprocessor:
         return result
 
     # -- techniques ----------------------------------------------------------
+    #
+    # Each pass keeps the order of a full rescan but skips the checks the
+    # database's change record proves idle (see repro.preprocess.occurrence),
+    # so the database evolves exactly as it would under a full rescan.
+
     def _propagate_units(
         self,
         db: ClauseDatabase,
@@ -377,18 +386,16 @@ class Preprocessor:
         proof=None,
     ) -> bool:
         changed = False
+        clauses = db._clauses
         queue = [
             cid
             for cid in db.alive_ids()
-            if len(db.clause(cid)) == 1
-            and abs(next(iter(db.clause(cid)))) not in frozen
+            if len(clauses[cid]) == 1 and abs(next(iter(clauses[cid]))) not in frozen
         ]
         while queue:
             cid = queue.pop()
-            if not db.is_alive(cid):
-                continue
-            literals = db.clause(cid)
-            if len(literals) != 1:
+            literals = clauses[cid]
+            if literals is None or len(literals) != 1:
                 continue
             lit = next(iter(literals))
             if abs(lit) in frozen:
@@ -401,7 +408,7 @@ class Preprocessor:
             # clause is RUP only while both the unit and the unshrunk
             # original are still part of the proof's active set.
             for shrink in list(db.occurrences(-lit)):
-                old = set(db.clause(shrink))
+                old = clauses[shrink]
                 shrunk = db.strengthen(shrink, -lit)
                 if proof is not None:
                     proof.add(shrunk)
@@ -451,48 +458,58 @@ class Preprocessor:
         self, db: ClauseDatabase, stats: PreprocessStats, proof=None
     ) -> bool:
         changed = False
+        clauses = db._clauses
+        occ = db._occ
+        due = db._begin_subsumption()
         # Forward subsumption, smallest clauses first: C subsumes D ⊇ C.
-        for cid in sorted(db.alive_ids(), key=lambda c: len(db.clause(c))):
-            if not db.is_alive(cid):
+        # Nothing is strengthened or added here, so which clauses are due
+        # is fixed for the whole loop.
+        forward = sorted(
+            (cid for cid in db.alive_ids() if due(cid)),
+            key=lambda c: len(clauses[c]),
+        )
+        for cid in forward:
+            literals = clauses[cid]
+            if literals is None:
                 continue
-            literals = db.clause(cid)
             if not literals:
                 raise _Conflict()
-            pivot = min(literals, key=lambda lit: len(db.occurrences(lit)))
-            for other in list(db.occurrences(pivot)):
-                if other == cid or not db.is_alive(other):
+            pivot = min(literals, key=lambda lit: len(occ[lit]))
+            for other in list(occ[pivot]):
+                if other == cid:
                     continue
-                if literals <= db.clause(other):
+                candidate = clauses[other]
+                if candidate is not None and literals <= candidate:
                     if proof is not None:
-                        proof.delete(db.clause(other))
+                        proof.delete(candidate)
                     db.remove(other)
                     stats.subsumed_clauses += 1
                     changed = True
         # Self-subsuming resolution: C = R ∪ {l}, D ⊇ R ∪ {¬l} → drop ¬l
-        # from D (equivalence-preserving, so no reconstruction step).
+        # from D (equivalence-preserving, so no reconstruction step). C is
+        # not a tautology, so ¬l ∉ R and "R ⊆ D" is the whole test (the
+        # subset test rejects a D shorter than R first).
         for cid in db.alive_ids():
-            if not db.is_alive(cid):
+            literals = clauses[cid]
+            if literals is None or not due(cid):
                 continue
-            for lit in list(db.clause(cid)):
-                if not db.is_alive(cid):
-                    break
-                rest = db.clause(cid) - {lit}
-                for other in list(db.occurrences(-lit)):
-                    if other == cid or not db.is_alive(other):
+            for lit in literals:
+                rest = literals - {lit}
+                for other in list(occ.get(-lit, ())):
+                    partner = clauses[other]
+                    if partner is None or not rest <= partner:
                         continue
-                    if rest <= (db.clause(other) - {-lit}):
-                        old = set(db.clause(other))
-                        shrunk = db.strengthen(other, -lit)
-                        if proof is not None:
-                            # The shrunk clause is the resolvent of C and
-                            # the old D on ``lit``; both are still alive,
-                            # so the addition is RUP when emitted here.
-                            proof.add(shrunk)
-                            proof.delete(old)
-                        stats.strengthened_literals += 1
-                        changed = True
-                        if not shrunk:
-                            raise _Conflict()
+                    shrunk = db.strengthen(other, -lit)
+                    if proof is not None:
+                        # The shrunk clause is the resolvent of C and the
+                        # old D on ``lit``; both are still alive, so the
+                        # addition is RUP when emitted here.
+                        proof.add(shrunk)
+                        proof.delete(partner)
+                    stats.strengthened_literals += 1
+                    changed = True
+                    if not shrunk:
+                        raise _Conflict()
         return changed
 
     def _eliminate_blocked(
@@ -504,25 +521,20 @@ class Preprocessor:
         proof=None,
     ) -> bool:
         changed = False
+        clauses = db._clauses
         for cid in db.alive_ids():
-            if not db.is_alive(cid):
+            literals = clauses[cid]
+            if literals is None:
                 continue
-            literals = db.clause(cid)
-            for lit in literals:
-                if abs(lit) in frozen:
-                    continue
-                rest = literals - {lit}
-                if all(
-                    any(-other in db.clause(did) for other in rest)
-                    for did in db.occurrences(-lit)
-                ):
-                    stack.push_blocked(literals, lit)
-                    stats.blocked_clauses += 1
-                    if proof is not None:
-                        proof.delete(literals)
-                    db.remove(cid)
-                    changed = True
-                    break
+            lit = db._blocking_literal(cid, frozen)
+            if lit is None:
+                continue
+            stack.push_blocked(literals, lit)
+            stats.blocked_clauses += 1
+            if proof is not None:
+                proof.delete(literals)
+            db.remove(cid)
+            changed = True
         return changed
 
     def _eliminate_variables(
@@ -534,13 +546,17 @@ class Preprocessor:
         proof=None,
     ) -> bool:
         changed = False
+        clauses = db._clauses
+        occ = db._occ
         candidates = sorted(
             db.variables() - frozen,
-            key=lambda v: len(db.occurrences(v)) + len(db.occurrences(-v)),
+            key=lambda v: len(occ.get(v, ())) + len(occ.get(-v, ())),
         )
         for variable in candidates:
-            positive = list(db.occurrences(variable))
-            negative = list(db.occurrences(-variable))
+            if not db._retry_elimination(variable):
+                continue  # no clause around it changed since the last try
+            positive = list(occ.get(variable, ()))
+            negative = list(occ.get(-variable, ()))
             if not positive or not negative:
                 continue  # absent or pure — the pure pass owns those
             if (
@@ -548,17 +564,22 @@ class Preprocessor:
                 or len(negative) > self.bve_occurrence_limit
             ):
                 continue
+            bound = len(positive) + len(negative) + self.bve_growth
+            sides = [clauses[nid] - {-variable} for nid in negative]
+            # Both parents are non-tautological, so a resolvent is a
+            # tautology exactly when one side clashes with the other.
+            clashes = [frozenset(-lit for lit in side) for side in sides]
             resolvents: Set[frozenset[int]] = set()
             for pid in positive:
-                for nid in negative:
-                    resolvent = (db.clause(pid) - {variable}) | (
-                        db.clause(nid) - {-variable}
-                    )
-                    if not any(-lit in resolvent for lit in resolvent):
-                        resolvents.add(resolvent)
-            if len(resolvents) > len(positive) + len(negative) + self.bve_growth:
+                own = clauses[pid] - {variable}
+                for side, clash in zip(sides, clashes):
+                    if own.isdisjoint(clash):
+                        resolvents.add(own | side)
+                if len(resolvents) > bound:
+                    break
+            if len(resolvents) > bound:
                 continue
-            removed = [db.clause(cid) for cid in positive + negative]
+            removed = [clauses[cid] for cid in positive + negative]
             if proof is not None:
                 # Resolvent additions go out while both parents are still
                 # alive (each is RUP via its generating pair); only then

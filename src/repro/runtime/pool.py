@@ -53,7 +53,7 @@ def derive_job_seed(master_seed: int, job_id: str, fingerprint: str) -> int:
 def _assignment_ints(assignment: Optional[Assignment]) -> Optional[tuple[int, ...]]:
     if assignment is None:
         return None
-    return tuple(lit.to_int() for lit in assignment.to_literals())
+    return tuple(v if value else -v for v, value in assignment.items())
 
 
 def execute_job(job: SolveJob, master_seed: int = 0) -> SolveOutcome:

@@ -268,6 +268,52 @@ class TestDeadline:
         assert not bounded.stats.interrupted
         assert bounded.formula == unbounded.formula
 
+    def test_deadline_expiring_during_subsumption_skips_bce(self, monkeypatch):
+        # The budget runs out while subsumption runs: the pipeline must stop
+        # before the BCE pass, so it overshoots by at most that one pass.
+        import time
+
+        from repro.preprocess import pipeline
+
+        clock = {"now": 0.0}
+
+        class _Clock:
+            perf_counter = staticmethod(time.perf_counter)
+
+            @staticmethod
+            def monotonic():
+                return clock["now"]
+
+        subsume = Preprocessor._subsume_and_strengthen
+        ran = []
+
+        def expiring_subsume(self, *args, **kwargs):
+            ran.append("subsumption")
+            changed = subsume(self, *args, **kwargs)
+            clock["now"] = 10.0
+            return changed
+
+        def recording_bce(self, *args, **kwargs):
+            ran.append("bce")
+            return False
+
+        monkeypatch.setattr(pipeline, "time", _Clock)
+        monkeypatch.setattr(
+            Preprocessor, "_subsume_and_strengthen", expiring_subsume
+        )
+        monkeypatch.setattr(Preprocessor, "_eliminate_blocked", recording_bce)
+        formula = all_equal_formula(6)
+        result = Preprocessor().preprocess(formula, deadline=5.0)
+        assert ran == ["subsumption"]
+        assert result.stats.interrupted
+        assert result.stats.rounds == 1
+        assert result.stats.blocked_clauses == 0
+        assert result.stats.eliminated_variables == 0
+        model = result.reconstruct(
+            {variable: True for variable in result.variable_map.values()}
+        )
+        assert formula.evaluate(model.as_dict())
+
     def test_solver_timeout_bounds_preprocessing(self):
         # solve(timeout=...) forwards its deadline into the pipeline: a
         # pathological budget must not hang in preprocessing (and the

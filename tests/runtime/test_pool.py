@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_ksat
 from repro.exceptions import RuntimeSubsystemError
@@ -70,6 +71,23 @@ class TestExecution:
         assert outcome.winner == "dpll"
         model = outcome.assignment_dict()
         assert job.formula.evaluate(model)
+
+    @pytest.mark.parametrize("preprocess", [False, True])
+    def test_assignment_tuple_is_the_signed_model_in_variable_order(
+        self, preprocess
+    ):
+        # One model: x1, not x2, x3, not x4. The outcome carries it as
+        # DIMACS ints sorted by variable, exactly as the model's true
+        # literals (Assignment.to_literals) encode.
+        formula = CNFFormula.from_ints([[1], [-2], [-1, 3], [-3, -4], [2, 4, 1]])
+        job = SolveJob(formula=formula, solver="cdcl", preprocess=preprocess)
+        outcome = execute_job(job)
+        assert outcome.status == "SAT" and outcome.verified
+        assert outcome.assignment == (1, -2, 3, -4)
+        model = Assignment(outcome.assignment_dict())
+        assert outcome.assignment == tuple(
+            lit.to_int() for lit in model.to_literals()
+        )
 
     def test_nbl_symbolic_unsat_is_verified(self):
         job = SolveJob(
