@@ -28,7 +28,8 @@ so search-machinery and propagation-throughput changes stay separable.
 * ``propagations_per_sec`` must not regress below the trajectory's seed
   entry times ``--min-speedup`` (default 1.0 — no regression);
 * the telemetry artifacts (optional ``--trace``/``--metrics`` outputs) must
-  be readable back;
+  be readable back, and every metric family in the ``--metrics`` artifact
+  must be declared in ``telemetry.METRICS`` with the same kind;
 * the projected cost of the disabled-telemetry guards on the CDCL hot path
   must stay under ``--max-overhead`` (default 3%). The projection
   multiplies the measured per-guard cost of ``telemetry``'s disabled
@@ -448,6 +449,27 @@ def _count_guards_per_run() -> tuple[int, int]:
     return guards, max(runs, 1)
 
 
+def _undeclared_families(path: str, text: str) -> list[str]:
+    """Families in a metrics artifact that ``telemetry.METRICS`` does not
+    declare with the same kind (``.json`` snapshots or Prometheus text)."""
+    if path.endswith(".json"):
+        kinds = {name: entry["type"] for name, entry in json.loads(text).items()}
+    else:
+        kinds = {}
+        for line in text.splitlines():
+            if line.startswith("# TYPE "):
+                _, _, name, kind = line.split(" ", 3)
+                kinds[name] = kind
+    problems = []
+    for name, kind in sorted(kinds.items()):
+        declared = telemetry.METRICS.get(name)
+        if declared is None:
+            problems.append(f"{name} ({kind}) is not declared in METRICS")
+        elif declared[0] != kind:
+            problems.append(f"{name} is a {kind}, METRICS declares {declared[0]}")
+    return problems
+
+
 def _check(args) -> int:
     failures = []
 
@@ -508,6 +530,8 @@ def _check(args) -> int:
             metrics_text = handle.read()
         if "repro_solver_runs_total" not in metrics_text:
             failures.append(f"metrics {args.metrics} lacks solver counters")
+        for problem in _undeclared_families(args.metrics, metrics_text):
+            failures.append(f"metrics {args.metrics}: {problem}")
         print(f"metrics: {len(metrics_text.splitlines())} lines")
 
     # 3. Disabled-path overhead projection.

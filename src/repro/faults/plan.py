@@ -337,7 +337,7 @@ def fire(point: str) -> Optional[FaultRule]:
     if rule is None:
         return None
     if _telemetry.active():
-        _telemetry.record_fault_injected(point, rule.kind)
+        _telemetry.emit("repro_faults_injected_total", point=point, kind=rule.kind)
     if rule.kind == "delay":
         time.sleep(rule.delay_seconds)
         return rule

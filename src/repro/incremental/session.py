@@ -213,7 +213,11 @@ class IncrementalSession(abc.ABC):
             if session_span.recording:
                 session_span.set(status=result.status)
         if _telemetry.active():
-            _telemetry.record_session_query(result.solver_name, result.status)
+            _telemetry.emit(
+                "repro_session_queries_total",
+                solver=result.solver_name,
+                status=result.status,
+            )
         if result.is_sat:
             self._verify_model(result, validated)
         return result

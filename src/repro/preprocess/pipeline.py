@@ -368,7 +368,15 @@ class Preprocessor:
                     elapsed_seconds=stats.elapsed_seconds,
                 )
         if _telemetry.active():
-            _telemetry.record_preprocess(stats, result.status)
+            _telemetry.emit("repro_preprocess_runs_total", status=result.status)
+            _telemetry.emit(
+                "repro_preprocess_clauses_removed_total",
+                max(0, stats.original_clauses - stats.reduced_clauses),
+            )
+            _telemetry.emit(
+                "repro_preprocess_clause_reduction_ratio", stats.clause_reduction
+            )
+            _telemetry.emit("repro_preprocess_wall_seconds", stats.elapsed_seconds)
         return result
 
     # -- techniques ----------------------------------------------------------

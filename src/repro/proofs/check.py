@@ -296,9 +296,10 @@ def check_proof(
         result.elapsed_seconds = time.perf_counter() - started
         if span.recording:
             span.set(steps=result.steps_checked, verified=result.verified)
-    _telemetry.record_proof_check(
-        result.status, result.elapsed_seconds, result.steps_checked
-    )
+    if _telemetry.active():
+        _telemetry.emit("repro_proof_checks_total", status=result.status)
+        _telemetry.emit("repro_proof_check_steps_total", result.steps_checked)
+        _telemetry.emit("repro_proof_check_seconds", result.elapsed_seconds)
     return result
 
 

@@ -143,7 +143,13 @@ class ProofLog:
                 self._stream.flush()
         from repro.telemetry import instrument as _telemetry
 
-        _telemetry.record_proof_log(self.additions, self.deletions, self.incomplete)
+        if _telemetry.active():
+            _telemetry.emit("repro_proof_lines_total", self.additions, kind="add")
+            _telemetry.emit("repro_proof_lines_total", self.deletions, kind="delete")
+            _telemetry.emit(
+                "repro_proof_logs_total",
+                incomplete="true" if self.incomplete else "false",
+            )
 
     def __enter__(self) -> "ProofLog":
         return self

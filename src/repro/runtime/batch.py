@@ -411,10 +411,15 @@ class BatchRunner:
         )
         if _telemetry.active():
             for outcome in report.outcomes:
-                _telemetry.record_batch_outcome(
-                    outcome.status, outcome.from_cache
+                _telemetry.emit(
+                    "repro_batch_outcomes_total",
+                    status=outcome.status,
+                    from_cache="true" if outcome.from_cache else "false",
                 )
-            _telemetry.record_cache_snapshot(report.cache_stats)
+            stats = report.cache_stats
+            _telemetry.emit("repro_cache_size", stats.size)
+            _telemetry.emit("repro_cache_max_size", stats.max_size)
+            _telemetry.emit("repro_cache_hit_ratio", stats.hit_rate)
             if _telemetry.tracing_active():
                 _telemetry.event(
                     "batch",

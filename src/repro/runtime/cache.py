@@ -169,7 +169,9 @@ class ResultCache:
         if _telemetry.active():
             if _telemetry.tracing_active():
                 _telemetry.event("cache.lookup", hit=hit)
-            _telemetry.record_cache_lookup(hit)
+            _telemetry.emit(
+                "repro_cache_hits_total" if hit else "repro_cache_misses_total"
+            )
         if entry is None:
             return None
         return entry.copy(from_cache=True, elapsed_seconds=0.0)
@@ -197,7 +199,7 @@ class ResultCache:
                 self._evictions += 1
                 evicted += 1
         if evicted and _telemetry.active():
-            _telemetry.record_cache_eviction(evicted)
+            _telemetry.emit("repro_cache_evictions_total", evicted)
         return True
 
     def clear(self) -> None:

@@ -107,7 +107,8 @@ def execute_job(job: SolveJob, master_seed: int = 0) -> SolveOutcome:
                 elapsed_seconds=outcome.elapsed_seconds,
             )
     if _telemetry.active():
-        _telemetry.record_pool_task(outcome.status, outcome.elapsed_seconds)
+        _telemetry.emit("repro_pool_tasks_total", status=outcome.status)
+        _telemetry.emit("repro_pool_task_seconds", outcome.elapsed_seconds)
     return outcome
 
 
@@ -593,7 +594,7 @@ class WorkerPool:
         futures = [executor.submit(job) for job in jobs]
         pending = len(futures)
         if _telemetry.active():
-            _telemetry.record_pool_queue_depth(pending)
+            _telemetry.emit("repro_pool_queue_depth", pending)
         for job, future in zip(jobs, futures):
             grace = (
                 job.timeout + _TIMEOUT_GRACE if job.timeout is not None else None
@@ -604,10 +605,9 @@ class WorkerPool:
             outcomes.append(outcome)
             pending -= 1
             if _telemetry.active():
-                _telemetry.record_pool_queue_depth(pending)
+                _telemetry.emit("repro_pool_queue_depth", pending)
                 # The parent-side record of a job solved in a worker
                 # process (whose own telemetry is process-local).
-                _telemetry.record_pool_task(
-                    outcome.status, outcome.elapsed_seconds
-                )
+                _telemetry.emit("repro_pool_tasks_total", status=outcome.status)
+                _telemetry.emit("repro_pool_task_seconds", outcome.elapsed_seconds)
         return outcomes

@@ -115,11 +115,11 @@ class _Shard:
         waited = time.perf_counter()
         self.lease.acquire()
         if _telemetry.active():
-            _telemetry.record_lock_wait(
-                self.index, time.perf_counter() - waited
+            _telemetry.emit(
+                "repro_cache_lock_wait_seconds", time.perf_counter() - waited
             )
             for _ in range(self.lease.takeovers - takeovers_before):
-                _telemetry.record_lock_takeover(self.index)
+                _telemetry.emit("repro_cache_lock_takeovers_total", shard=self.index)
 
     def load(self) -> tuple[int, int, int]:
         """Load snapshot + WAL; returns ``(snapshot, replayed, torn)`` counts.
@@ -472,7 +472,7 @@ class ShardedResultCache:
                 f"{key[:16]}...: {type(exc).__name__}: {exc}"
             ) from exc
         if _telemetry.active():
-            _telemetry.record_wal_append(shard.index)
+            _telemetry.emit("repro_cache_wal_records_total", shard=shard.index)
         stored = shard.cache.put(outcome, key=key)
         if (
             self._compact_threshold
@@ -511,7 +511,10 @@ class ShardedResultCache:
                     torn=self.torn_records,
                 )
         if _telemetry.active():
-            _telemetry.record_wal_recovery(self.replayed_records, self.torn_records)
+            if self.replayed_records:
+                _telemetry.emit("repro_cache_wal_replayed_total", self.replayed_records)
+            if self.torn_records:
+                _telemetry.emit("repro_cache_wal_torn_total", self.torn_records)
         return loaded
 
     def _compact_shard(self, shard: _Shard) -> None:
@@ -521,7 +524,8 @@ class ShardedResultCache:
             if span.recording:
                 span.set(shard=shard.index, entries=entries)
         if _telemetry.active():
-            _telemetry.record_compaction(shard.index, entries)
+            _telemetry.emit("repro_cache_compactions_total", shard=shard.index)
+            _telemetry.emit("repro_cache_shard_entries", entries, shard=shard.index)
 
     def compact(self) -> int:
         """Snapshot every shard and truncate its WAL; returns total entries."""

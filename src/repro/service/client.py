@@ -202,7 +202,7 @@ class ServiceClient:
     def _note_retry(self, reason: str) -> None:
         self.retries += 1
         if _telemetry.active():
-            _telemetry.record_service_retry(reason)
+            _telemetry.emit("repro_service_retries_total", reason=reason)
 
     def _reconnect_and_resubmit(self) -> None:
         """Fresh connection, then resend everything still unanswered.
@@ -216,7 +216,7 @@ class ServiceClient:
         self._connect()
         self.reconnects += 1
         if _telemetry.active():
-            _telemetry.record_service_reconnect()
+            _telemetry.emit("repro_service_reconnects_total")
         for payload in list(self._sent.values()):
             self._sock.sendall(encode_message(payload).encode("utf-8"))
 

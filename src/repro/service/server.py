@@ -309,7 +309,8 @@ class SolveService:
 
     def _report_load(self) -> None:
         if _telemetry.active():
-            _telemetry.record_service_load(self._waiting, self._running)
+            _telemetry.emit("repro_service_queue_depth", self._waiting)
+            _telemetry.emit("repro_service_inflight", self._running)
 
     # -- request handling ------------------------------------------------------
     async def handle_line(self, line: str) -> dict:
@@ -342,7 +343,9 @@ class SolveService:
                     code=response["code"],
                     elapsed_seconds=elapsed,
                 )
-            _telemetry.record_service_request(op, response["code"], elapsed)
+            code = response["code"]
+            _telemetry.emit("repro_service_requests_total", op=op, code=code)
+            _telemetry.emit("repro_service_request_seconds", elapsed, op=op)
         return response
 
     async def _dispatch(self, op: str, payload: dict, request_id: str) -> dict:
@@ -357,7 +360,8 @@ class SolveService:
     def _stats_response(self, request_id: str) -> dict:
         stats = self._cache.stats
         if _telemetry.active():
-            _telemetry.record_shard_sizes(self._cache.shard_sizes)
+            for shard, size in enumerate(self._cache.shard_sizes):
+                _telemetry.emit("repro_cache_shard_entries", size, shard=shard)
         return {
             "id": request_id,
             "code": OK,
@@ -416,16 +420,18 @@ class SolveService:
             except CachePersistError:
                 failed = True
                 self._stats.persist_failures += 1
+                if _telemetry.active():
+                    _telemetry.emit("repro_service_persist_failures_total")
         if failed:
             self._degraded = True
             if _telemetry.active():
-                _telemetry.record_service_degraded(True)
+                _telemetry.emit("repro_service_degraded", 1)
             if _telemetry.tracing_active():
                 _telemetry.event("service.degraded", active=True)
         elif persisted and self._degraded:
             self._degraded = False
             if _telemetry.active():
-                _telemetry.record_service_degraded(False)
+                _telemetry.emit("repro_service_degraded", 0)
             if _telemetry.tracing_active():
                 _telemetry.event("service.degraded", active=False)
 
@@ -451,7 +457,7 @@ class SolveService:
             if _telemetry.active():
                 if _telemetry.tracing_active():
                     _telemetry.event("service.dedup", key=original_key)
-                _telemetry.record_service_dedup()
+                _telemetry.emit("repro_service_dedup_hits_total")
             # shield(): a cancelled waiter must not cancel the shared solve.
             outcome = await asyncio.shield(shared)
             duplicate = outcome.copy(
@@ -471,7 +477,7 @@ class SolveService:
         ):
             self._stats.rejected += 1
             if _telemetry.active():
-                _telemetry.record_service_rejection()
+                _telemetry.emit("repro_service_rejections_total")
             return error_response(
                 request_id,
                 REJECTED,

@@ -803,7 +803,10 @@ class ArenaKernel:
         self.reductions += 1
         self.clauses_deleted += len(doomed)
         if _telemetry.active():
-            _telemetry.record_cdcl_reduction(len(doomed))
+            _telemetry.emit("repro_cdcl_reductions_total")
+            _telemetry.emit(
+                "repro_cdcl_clauses_deleted_total", len(doomed), source="reduction"
+            )
         return len(doomed)
 
     def compact(self) -> None:
@@ -925,8 +928,14 @@ class ArenaKernel:
         self.inprocessings += 1
         self.clauses_deleted += len(outcome.dropped)
         if _telemetry.active():
-            _telemetry.record_cdcl_inprocess(
-                len(outcome.dropped), len(outcome.strengthened)
+            _telemetry.emit("repro_cdcl_inprocessings_total")
+            _telemetry.emit(
+                "repro_cdcl_clauses_deleted_total",
+                len(outcome.dropped),
+                source="inprocess",
+            )
+            _telemetry.emit(
+                "repro_cdcl_clauses_strengthened_total", len(outcome.strengthened)
             )
 
     # -- the search loop -----------------------------------------------------
@@ -996,10 +1005,16 @@ class ArenaKernel:
                             interval=conflicts_until_restart,
                         )
                     if _telemetry.active():
-                        _telemetry.record_learned_db_size(
-                            solver_name, self.live_clauses
+                        _telemetry.emit(
+                            "repro_learned_db_clauses",
+                            self.live_clauses,
+                            solver=solver_name,
                         )
-                        _telemetry.record_cdcl_watch_lists(*self.watch_stats())
+                        average, longest = self.watch_stats()
+                        _telemetry.emit(
+                            "repro_cdcl_watch_list_length_avg", round(average, 3)
+                        )
+                        _telemetry.emit("repro_cdcl_watch_list_length_max", longest)
                     inprocess_due = (
                         self.inprocess_interval
                         and self._restarts_total % self.inprocess_interval == 0

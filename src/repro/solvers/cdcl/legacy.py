@@ -301,8 +301,10 @@ class LegacyCDCLSolver(SATSolver):
                             interval=conflicts_until_restart,
                         )
                     if _telemetry.active():
-                        _telemetry.record_learned_db_size(
-                            self.name, len(self._clauses)
+                        _telemetry.emit(
+                            "repro_learned_db_clauses",
+                            len(self._clauses),
+                            solver=self.name,
                         )
                     conflicts_since_restart = 0
                     conflicts_until_restart = int(

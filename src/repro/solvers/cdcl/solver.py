@@ -183,7 +183,7 @@ class CDCLSolver(SATSolver):
     @staticmethod
     def _record_kernel_counters(stats: SolverStats) -> None:
         if _telemetry.active():
-            _telemetry.record_cdcl_propagations(stats.propagations)
+            _telemetry.emit("repro_cdcl_propagations_total", stats.propagations)
 
     # -- incremental API ---------------------------------------------------------
     def begin_incremental(self, num_variables: int = 0) -> None:

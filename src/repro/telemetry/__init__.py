@@ -18,10 +18,13 @@ designed to cost one bool check per instrumentation site when disabled:
   ``BENCH_cdcl.json``).
 
 Instrumentation is wired through the solvers, the runtime subsystem, the
-preprocessing pipeline and the incremental sessions; the CLI exposes it as
+preprocessing pipeline and the incremental sessions
+(:mod:`repro.telemetry.instrument`): every metric family is declared once
+in :data:`METRICS` and recorded through :func:`emit`. The CLI exposes it as
 ``--trace FILE`` / ``--metrics FILE`` on ``solve``/``check``/``batch``/
 ``incremental`` plus the ``repro stats`` reader. The span taxonomy and the
-metric catalogue are documented in ``docs/observability.md``.
+metric catalogue are documented in ``docs/observability.md`` and checked
+against :data:`SPAN_TAXONOMY` and :data:`METRICS` by the test suite.
 
 Quickstart::
 
@@ -37,17 +40,10 @@ Quickstart::
 """
 
 from repro.telemetry.instrument import (
+    METRICS,
     active,
+    emit,
     event,
-    record_batch_outcome,
-    record_cache_eviction,
-    record_cache_lookup,
-    record_cache_snapshot,
-    record_learned_db_size,
-    record_pool_queue_depth,
-    record_pool_task,
-    record_preprocess,
-    record_session_query,
     record_solve,
     span,
     tracer,
@@ -92,6 +88,7 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "Gauge",
     "Histogram",
+    "METRICS",
     "MetricsRegistry",
     "NULL_SPAN",
     "NULL_TRACER",
@@ -102,6 +99,7 @@ __all__ = [
     "active",
     "append_bench_record",
     "disable_metrics",
+    "emit",
     "enable_metrics",
     "event",
     "get_metrics",
@@ -109,15 +107,6 @@ __all__ = [
     "load_bench_records",
     "load_trace",
     "metrics_active",
-    "record_batch_outcome",
-    "record_cache_eviction",
-    "record_cache_lookup",
-    "record_cache_snapshot",
-    "record_learned_db_size",
-    "record_pool_queue_depth",
-    "record_pool_task",
-    "record_preprocess",
-    "record_session_query",
     "record_solve",
     "set_tracer",
     "span",

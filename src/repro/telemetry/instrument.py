@@ -7,24 +7,198 @@ Every hook here follows the same contract:
   :func:`span`, whose disabled forms allocate nothing) before building any
   attribute dictionary, so a process that never enables telemetry pays a
   bool check per site and nothing else.
-* ``record_*`` helpers translate domain objects (solver results, cache
-  snapshots, preprocessing stats) into the canonical metric families named
-  in ``docs/observability.md``. They early-return when metrics collection
-  is off, so callers may invoke them under the coarser :func:`active`
-  guard without double-checking.
-
-Keeping the vocabulary here — rather than scattered across solvers,
-runtime and preprocessing — is what keeps metric names consistent across
-subsystems and documented in one place.
+* :data:`METRICS` declares every metric family the library emits — name,
+  kind, label names and help text — exactly once; ``docs/observability.md``
+  is checked against it by the test suite.
+* :func:`emit` is the one way a call site records a metric: it returns at
+  once when metrics collection is off, and otherwise validates the name and
+  label set against :data:`METRICS` before updating the registry.
+  :func:`record_solve` is the only domain helper, because three solver
+  paths share its translation of :class:`~repro.solvers.base.SolverStats`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
+from repro.exceptions import ReproError
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 from repro.telemetry.trace import NullTracer, Span, Tracer, _NullSpan
+
+_WORK = "Accumulated solver work counters."
+_SHARD_ENTRIES = "Entries held per cache shard (updated at compaction and on demand)."
+
+#: Every metric family the library emits: ``name -> (kind, sorted label
+#: names, help text)``. ``kind`` is ``counter``, ``gauge`` or ``histogram``.
+METRICS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
+    # -- solvers
+    "repro_solver_runs_total": (
+        "counter", ("solver", "status"), "Completed solver runs by solver and verdict."
+    ),
+    "repro_solver_decisions_total": ("counter", ("solver",), _WORK),
+    "repro_solver_propagations_total": ("counter", ("solver",), _WORK),
+    "repro_solver_conflicts_total": ("counter", ("solver",), _WORK),
+    "repro_solver_learned_clauses_total": ("counter", ("solver",), _WORK),
+    "repro_solver_restarts_total": ("counter", ("solver",), _WORK),
+    "repro_solver_flips_total": ("counter", ("solver",), _WORK),
+    "repro_solver_evaluations_total": ("counter", ("solver",), _WORK),
+    "repro_solver_timeouts_total": (
+        "counter", ("solver",), "Runs that ended by exhausting their wall-clock budget."
+    ),
+    "repro_solver_wall_seconds": (
+        "histogram", ("solver",), "Per-run wall-clock time by solver."
+    ),
+    "repro_learned_db_clauses": (
+        "gauge",
+        ("solver",),
+        "Current clause-database size (problem + learned clauses).",
+    ),
+    # -- the CDCL arena kernel
+    "repro_cdcl_propagations_total": (
+        "counter", (), "Literal propagations performed by the CDCL arena kernel."
+    ),
+    "repro_cdcl_watch_list_length_avg": (
+        "gauge", (), "Average two-watched-literal watch-list length per literal."
+    ),
+    "repro_cdcl_watch_list_length_max": (
+        "gauge", (), "Longest two-watched-literal watch list over all literals."
+    ),
+    "repro_cdcl_reductions_total": (
+        "counter", (), "Learned-clause database reductions run by the CDCL kernel."
+    ),
+    "repro_cdcl_inprocessings_total": (
+        "counter", (), "Restart-boundary inprocessing passes run by the CDCL kernel."
+    ),
+    "repro_cdcl_clauses_deleted_total": (
+        "counter",
+        ("source",),
+        "Learned clauses deleted by DB reduction and inprocessing.",
+    ),
+    "repro_cdcl_clauses_strengthened_total": (
+        "counter", (), "Learned clauses shortened by inprocessing vivification."
+    ),
+    # -- preprocessing
+    "repro_preprocess_runs_total": (
+        "counter", ("status",), "Completed preprocessing runs by final status."
+    ),
+    "repro_preprocess_clauses_removed_total": (
+        "counter", (), "Clauses removed by the inprocessing pipeline."
+    ),
+    "repro_preprocess_clause_reduction_ratio": (
+        "gauge", (), "Clause-reduction fraction of the most recent preprocessing run."
+    ),
+    "repro_preprocess_wall_seconds": (
+        "histogram", (), "Per-run wall-clock time of the inprocessing pipeline."
+    ),
+    # -- result cache
+    "repro_cache_hits_total": (
+        "counter", (), "Result-cache lookups answered from cache."
+    ),
+    "repro_cache_misses_total": ("counter", (), "Result-cache lookups that missed."),
+    "repro_cache_evictions_total": (
+        "counter", (), "Entries evicted by the LRU policy."
+    ),
+    "repro_cache_size": ("gauge", (), "Entries currently held by the result cache."),
+    "repro_cache_max_size": ("gauge", (), "Configured result-cache capacity."),
+    "repro_cache_hit_ratio": (
+        "gauge", (), "Lifetime hits / lookups of the result cache (0 when unused)."
+    ),
+    # -- sharded persistent cache
+    "repro_cache_wal_records_total": (
+        "counter", ("shard",), "Records appended to shard write-ahead logs."
+    ),
+    "repro_cache_wal_replayed_total": (
+        "counter", (), "WAL records replayed into memory at cache load."
+    ),
+    "repro_cache_wal_torn_total": (
+        "counter", (), "Torn (crash-truncated) WAL records dropped at cache load."
+    ),
+    "repro_cache_compactions_total": (
+        "counter", ("shard",), "Shard snapshot-and-truncate compactions."
+    ),
+    "repro_cache_shard_entries": ("gauge", ("shard",), _SHARD_ENTRIES),
+    "repro_cache_lock_wait_seconds": (
+        "histogram", (), "Wall-clock wait to acquire a shard's cross-process lease."
+    ),
+    "repro_cache_lock_takeovers_total": (
+        "counter", ("shard",), "Stale shard leases taken over after their holder died."
+    ),
+    # -- worker pool and batch runner
+    "repro_pool_tasks_total": (
+        "counter", ("status",), "Jobs executed by the worker pool, by outcome status."
+    ),
+    "repro_pool_task_seconds": (
+        "histogram", (), "Per-job wall-clock time in the pool."
+    ),
+    "repro_pool_queue_depth": (
+        "gauge", (), "Jobs submitted to the pool and not yet finished."
+    ),
+    "repro_batch_outcomes_total": (
+        "counter",
+        ("from_cache", "status"),
+        "Batch outcomes by status and cache provenance.",
+    ),
+    # -- service and client
+    "repro_service_requests_total": (
+        "counter", ("code", "op"), "Service requests by operation and response code."
+    ),
+    "repro_service_request_seconds": (
+        "histogram",
+        ("op",),
+        "Wall-clock time from request receipt to response, by operation.",
+    ),
+    "repro_service_dedup_hits_total": (
+        "counter", (), "Requests that joined an identical in-flight solve."
+    ),
+    "repro_service_rejections_total": (
+        "counter", (), "Requests rejected because the admission queue was full."
+    ),
+    "repro_service_queue_depth": (
+        "gauge", (), "Requests waiting for an executor slot."
+    ),
+    "repro_service_inflight": (
+        "gauge", (), "Distinct solves currently running in the executor."
+    ),
+    "repro_service_degraded": (
+        "gauge", (), "1 while the service is serving without persistence, else 0."
+    ),
+    "repro_service_persist_failures_total": (
+        "counter", (), "Cache-persist failures absorbed by degrading to serve-only."
+    ),
+    "repro_service_retries_total": (
+        "counter", ("reason",), "Client request retries by reason."
+    ),
+    "repro_service_reconnects_total": (
+        "counter", (), "Client TCP reconnects after a transport failure."
+    ),
+    # -- fault injection
+    "repro_faults_injected_total": (
+        "counter", ("kind", "point"), "Faults injected by the active fault plan."
+    ),
+    # -- proofs
+    "repro_proof_lines_total": (
+        "counter", ("kind",), "DRAT proof lines emitted, by line kind."
+    ),
+    "repro_proof_logs_total": (
+        "counter", ("incomplete",), "Finished proof logs by completeness."
+    ),
+    "repro_proof_checks_total": (
+        "counter", ("status",), "Proof-checker runs by verdict."
+    ),
+    "repro_proof_check_steps_total": (
+        "counter", (), "Proof steps replayed by the checker."
+    ),
+    "repro_proof_check_seconds": (
+        "histogram", (), "Per-run wall-clock time of the proof checker."
+    ),
+    # -- incremental sessions
+    "repro_session_queries_total": (
+        "counter",
+        ("solver", "status"),
+        "Incremental-session queries by session solver and verdict.",
+    ),
+}
 
 
 def active() -> bool:
@@ -57,464 +231,57 @@ def event(name: str, **attributes: Any) -> Optional[Span]:
     return _trace._current_tracer.event(name, **attributes)
 
 
-# -- solver instrumentation ----------------------------------------------------
+def emit(name: str, value: float = 1, **labels: Any) -> None:
+    """Record ``value`` on the declared metric ``name`` with ``labels``.
+
+    Counters add ``value``, gauges are set to it and histograms observe
+    it. Returns at once while metrics collection is off; raises
+    :class:`~repro.exceptions.ReproError` when ``name`` is not in
+    :data:`METRICS` or ``labels`` are not exactly its declared label names.
+    """
+    if not _metrics._enabled:
+        return
+    declared = METRICS.get(name)
+    if declared is None:
+        raise ReproError(f"metric {name!r} is not declared in METRICS")
+    kind, label_names, help_text = declared
+    if tuple(sorted(labels)) != label_names:
+        raise ReproError(
+            f"metric {name!r} takes labels {label_names}, got {tuple(sorted(labels))}"
+        )
+    registry = _metrics.get_metrics()
+    if kind == "counter":
+        registry.counter(name, help_text, **labels).inc(value)
+    elif kind == "gauge":
+        registry.gauge(name, help_text, **labels).set(value)
+    else:
+        registry.histogram(name, help_text, **labels).observe(value)
+
+
 def record_solve(solver_name: str, result) -> None:
     """Feed one :class:`~repro.solvers.base.SolverResult` into the registry."""
-    if not _metrics.metrics_active():
+    if not _metrics._enabled:
         return
-    registry = _metrics.get_metrics()
     stats = result.stats
-    registry.counter(
-        "repro_solver_runs_total",
-        "Completed solver runs by solver and verdict.",
-        solver=solver_name,
-        status=result.status,
-    ).inc()
-    for counter_name, amount in (
-        ("repro_solver_decisions_total", stats.decisions),
-        ("repro_solver_propagations_total", stats.propagations),
-        ("repro_solver_conflicts_total", stats.conflicts),
-        ("repro_solver_learned_clauses_total", stats.learned_clauses),
-        ("repro_solver_restarts_total", stats.restarts),
-        ("repro_solver_flips_total", stats.flips),
-        ("repro_solver_evaluations_total", stats.evaluations),
-    ):
-        if amount:
-            registry.counter(
-                counter_name,
-                "Accumulated solver work counters.",
-                solver=solver_name,
-            ).inc(amount)
-    if result.timed_out:
-        registry.counter(
-            "repro_solver_timeouts_total",
-            "Runs that ended by exhausting their wall-clock budget.",
+    emit("repro_solver_runs_total", solver=solver_name, status=result.status)
+    if stats.decisions:
+        emit("repro_solver_decisions_total", stats.decisions, solver=solver_name)
+    if stats.propagations:
+        emit("repro_solver_propagations_total", stats.propagations, solver=solver_name)
+    if stats.conflicts:
+        emit("repro_solver_conflicts_total", stats.conflicts, solver=solver_name)
+    if stats.learned_clauses:
+        emit(
+            "repro_solver_learned_clauses_total",
+            stats.learned_clauses,
             solver=solver_name,
-        ).inc()
-    registry.histogram(
-        "repro_solver_wall_seconds",
-        "Per-run wall-clock time by solver.",
-        solver=solver_name,
-    ).observe(stats.elapsed_seconds)
-
-
-def record_learned_db_size(solver_name: str, size: int) -> None:
-    """Gauge the clause-database size (original + learned) of a solver."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().gauge(
-        "repro_learned_db_clauses",
-        "Current clause-database size (problem + learned clauses).",
-        solver=solver_name,
-    ).set(size)
-
-
-def record_cdcl_propagations(count: int) -> None:
-    """Count propagations performed by the CDCL arena kernel."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_cdcl_propagations_total",
-        "Literal propagations performed by the CDCL arena kernel.",
-    ).inc(count)
-
-
-def record_cdcl_watch_lists(average_length: float, max_length: int) -> None:
-    """Gauge the watch-list lengths of the CDCL arena kernel."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.gauge(
-        "repro_cdcl_watch_list_length_avg",
-        "Average two-watched-literal watch-list length per literal.",
-    ).set(round(average_length, 3))
-    registry.gauge(
-        "repro_cdcl_watch_list_length_max",
-        "Longest two-watched-literal watch list over all literals.",
-    ).set(max_length)
-
-
-def record_cdcl_reduction(deleted: int) -> None:
-    """Count one learned-clause DB reduction and the clauses it deleted."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.counter(
-        "repro_cdcl_reductions_total",
-        "Learned-clause database reductions run by the CDCL kernel.",
-    ).inc()
-    registry.counter(
-        "repro_cdcl_clauses_deleted_total",
-        "Learned clauses deleted by DB reduction and inprocessing.",
-        source="reduction",
-    ).inc(deleted)
-
-
-def record_cdcl_inprocess(dropped: int, strengthened: int) -> None:
-    """Count one restart-boundary inprocessing pass and its effects."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.counter(
-        "repro_cdcl_inprocessings_total",
-        "Restart-boundary inprocessing passes run by the CDCL kernel.",
-    ).inc()
-    registry.counter(
-        "repro_cdcl_clauses_deleted_total",
-        "Learned clauses deleted by DB reduction and inprocessing.",
-        source="inprocess",
-    ).inc(dropped)
-    registry.counter(
-        "repro_cdcl_clauses_strengthened_total",
-        "Learned clauses shortened by inprocessing vivification.",
-    ).inc(strengthened)
-
-
-# -- cache instrumentation -----------------------------------------------------
-def record_cache_lookup(hit: bool) -> None:
-    """Count one result-cache probe."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    if hit:
-        registry.counter(
-            "repro_cache_hits_total", "Result-cache lookups answered from cache."
-        ).inc()
-    else:
-        registry.counter(
-            "repro_cache_misses_total", "Result-cache lookups that missed."
-        ).inc()
-
-
-def record_cache_eviction(count: int = 1) -> None:
-    """Count result-cache LRU evictions."""
-    if not _metrics.metrics_active() or not count:
-        return
-    _metrics.get_metrics().counter(
-        "repro_cache_evictions_total", "Entries evicted by the LRU policy."
-    ).inc(count)
-
-
-def record_cache_snapshot(stats) -> None:
-    """Gauge a :class:`~repro.runtime.cache.CacheStats` snapshot."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.gauge(
-        "repro_cache_size", "Entries currently held by the result cache."
-    ).set(stats.size)
-    registry.gauge(
-        "repro_cache_max_size", "Configured result-cache capacity."
-    ).set(stats.max_size)
-    registry.gauge(
-        "repro_cache_hit_ratio",
-        "Lifetime hits / lookups of the result cache (0 when unused).",
-    ).set(stats.hit_rate)
-
-
-# -- preprocessing instrumentation ---------------------------------------------
-def record_preprocess(stats, status: str) -> None:
-    """Feed one :class:`~repro.preprocess.PreprocessStats` into the registry."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.counter(
-        "repro_preprocess_runs_total",
-        "Completed preprocessing runs by final status.",
-        status=status,
-    ).inc()
-    registry.counter(
-        "repro_preprocess_clauses_removed_total",
-        "Clauses removed by the inprocessing pipeline.",
-    ).inc(max(0, stats.original_clauses - stats.reduced_clauses))
-    registry.gauge(
-        "repro_preprocess_clause_reduction_ratio",
-        "Clause-reduction fraction of the most recent preprocessing run.",
-    ).set(stats.clause_reduction)
-    registry.histogram(
-        "repro_preprocess_wall_seconds",
-        "Per-run wall-clock time of the inprocessing pipeline.",
-    ).observe(stats.elapsed_seconds)
-
-
-# -- runtime instrumentation ---------------------------------------------------
-def record_pool_task(status: str, seconds: float) -> None:
-    """Count one executed pool job and its wall time."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.counter(
-        "repro_pool_tasks_total",
-        "Jobs executed by the worker pool, by outcome status.",
-        status=status,
-    ).inc()
-    registry.histogram(
-        "repro_pool_task_seconds", "Per-job wall-clock time in the pool."
-    ).observe(seconds)
-
-
-def record_pool_queue_depth(depth: int) -> None:
-    """Gauge the number of jobs waiting on pool results."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().gauge(
-        "repro_pool_queue_depth", "Jobs submitted to the pool and not yet finished."
-    ).set(depth)
-
-
-def record_batch_outcome(status: str, from_cache: bool) -> None:
-    """Count one batch outcome (cache hits included)."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_batch_outcomes_total",
-        "Batch outcomes by status and cache provenance.",
-        status=status,
-        from_cache=str(bool(from_cache)).lower(),
-    ).inc()
-
-
-# -- service instrumentation ---------------------------------------------------
-def record_service_request(op: str, code: int, seconds: float) -> None:
-    """Count one service request by operation and response code."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.counter(
-        "repro_service_requests_total",
-        "Service requests by operation and response code.",
-        op=op,
-        code=str(code),
-    ).inc()
-    registry.histogram(
-        "repro_service_request_seconds",
-        "Wall-clock time from request receipt to response, by operation.",
-        op=op,
-    ).observe(seconds)
-
-
-def record_service_dedup() -> None:
-    """Count one request answered by sharing an in-flight identical solve."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_service_dedup_hits_total",
-        "Requests that joined an identical in-flight solve.",
-    ).inc()
-
-
-def record_service_rejection() -> None:
-    """Count one request rejected by admission control (a 429 response)."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_service_rejections_total",
-        "Requests rejected because the admission queue was full.",
-    ).inc()
-
-
-def record_service_degraded(degraded: bool) -> None:
-    """Gauge (and count) the service's persist-degradation state.
-
-    The gauge flips to 1 while the last cache-persist attempt failed
-    (verdicts are served without durability) and back to 0 once a
-    persist succeeds again; each entry into the degraded state also
-    counts one persist failure.
-    """
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.gauge(
-        "repro_service_degraded",
-        "1 while the service is serving without persistence, else 0.",
-    ).set(1 if degraded else 0)
-    if degraded:
-        registry.counter(
-            "repro_service_persist_failures_total",
-            "Cache-persist failures absorbed by degrading to serve-only.",
-        ).inc()
-
-
-def record_service_retry(reason: str) -> None:
-    """Count one client-side retry (rejected = 429 backoff, transport = reconnect)."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_service_retries_total",
-        "Client request retries by reason.",
-        reason=reason,
-    ).inc()
-
-
-def record_service_reconnect() -> None:
-    """Count one client TCP reconnect (with pending-request re-submission)."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_service_reconnects_total",
-        "Client TCP reconnects after a transport failure.",
-    ).inc()
-
-
-def record_service_load(queue_depth: int, inflight: int) -> None:
-    """Gauge the service's admission queue depth and in-flight solve count."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.gauge(
-        "repro_service_queue_depth",
-        "Requests waiting for an executor slot.",
-    ).set(queue_depth)
-    registry.gauge(
-        "repro_service_inflight",
-        "Distinct solves currently running in the executor.",
-    ).set(inflight)
-
-
-# -- sharded-cache instrumentation ---------------------------------------------
-def record_wal_append(shard: int) -> None:
-    """Count one record appended to a shard's write-ahead log."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_cache_wal_records_total",
-        "Records appended to shard write-ahead logs.",
-        shard=str(shard),
-    ).inc()
-
-
-def record_wal_recovery(replayed: int, torn: int) -> None:
-    """Count WAL records replayed (and torn records dropped) at load."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    if replayed:
-        registry.counter(
-            "repro_cache_wal_replayed_total",
-            "WAL records replayed into memory at cache load.",
-        ).inc(replayed)
-    if torn:
-        registry.counter(
-            "repro_cache_wal_torn_total",
-            "Torn (crash-truncated) WAL records dropped at cache load.",
-        ).inc(torn)
-
-
-def record_compaction(shard: int, entries: int) -> None:
-    """Count one shard compaction and gauge the shard's entry count."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.counter(
-        "repro_cache_compactions_total",
-        "Shard snapshot-and-truncate compactions.",
-        shard=str(shard),
-    ).inc()
-    registry.gauge(
-        "repro_cache_shard_entries",
-        "Entries held per cache shard (updated at compaction and on demand).",
-        shard=str(shard),
-    ).set(entries)
-
-
-def record_shard_sizes(sizes) -> None:
-    """Gauge the per-shard entry counts of a sharded cache."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    for shard, size in enumerate(sizes):
-        registry.gauge(
-            "repro_cache_shard_entries",
-            "Entries held per cache shard (updated at compaction and on demand).",
-            shard=str(shard),
-        ).set(size)
-
-
-def record_lock_wait(shard: int, seconds: float) -> None:
-    """Observe how long one shard-lease acquisition waited."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().histogram(
-        "repro_cache_lock_wait_seconds",
-        "Wall-clock wait to acquire a shard's cross-process lease.",
-    ).observe(seconds)
-
-
-def record_lock_takeover(shard: int) -> None:
-    """Count one stale-lease takeover (a crashed holder's lock reclaimed)."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_cache_lock_takeovers_total",
-        "Stale shard leases taken over after their holder died.",
-        shard=str(shard),
-    ).inc()
-
-
-# -- fault-injection instrumentation -------------------------------------------
-def record_fault_injected(point: str, kind: str) -> None:
-    """Count one injected fault by fault point and kind."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_faults_injected_total",
-        "Faults injected by the active fault plan.",
-        point=point,
-        kind=kind,
-    ).inc()
-
-
-# -- proof instrumentation -----------------------------------------------------
-def record_proof_log(additions: int, deletions: int, incomplete: bool) -> None:
-    """Count the lines of one finished DRAT proof log."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.counter(
-        "repro_proof_lines_total",
-        "DRAT proof lines emitted, by line kind.",
-        kind="add",
-    ).inc(additions)
-    registry.counter(
-        "repro_proof_lines_total",
-        "DRAT proof lines emitted, by line kind.",
-        kind="delete",
-    ).inc(deletions)
-    registry.counter(
-        "repro_proof_logs_total",
-        "Finished proof logs by completeness.",
-        incomplete=str(bool(incomplete)).lower(),
-    ).inc()
-
-
-def record_proof_check(status: str, seconds: float, steps: int) -> None:
-    """Count one proof-checker run and its wall time."""
-    if not _metrics.metrics_active():
-        return
-    registry = _metrics.get_metrics()
-    registry.counter(
-        "repro_proof_checks_total",
-        "Proof-checker runs by verdict.",
-        status=status,
-    ).inc()
-    registry.counter(
-        "repro_proof_check_steps_total",
-        "Proof steps replayed by the checker.",
-    ).inc(steps)
-    registry.histogram(
-        "repro_proof_check_seconds",
-        "Per-run wall-clock time of the proof checker.",
-    ).observe(seconds)
-
-
-# -- incremental-session instrumentation ---------------------------------------
-def record_session_query(solver_name: str, status: str) -> None:
-    """Count one incremental-session query."""
-    if not _metrics.metrics_active():
-        return
-    _metrics.get_metrics().counter(
-        "repro_session_queries_total",
-        "Incremental-session queries by session solver and verdict.",
-        solver=solver_name,
-        status=status,
-    ).inc()
+        )
+    if stats.restarts:
+        emit("repro_solver_restarts_total", stats.restarts, solver=solver_name)
+    if stats.flips:
+        emit("repro_solver_flips_total", stats.flips, solver=solver_name)
+    if stats.evaluations:
+        emit("repro_solver_evaluations_total", stats.evaluations, solver=solver_name)
+    if result.timed_out:
+        emit("repro_solver_timeouts_total", solver=solver_name)
+    emit("repro_solver_wall_seconds", stats.elapsed_seconds, solver=solver_name)

@@ -7,13 +7,14 @@ are independent counters of one family). The registry exports to the
 Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`)
 and to JSON (:meth:`MetricsRegistry.to_json`).
 
-Collection is off by default: the library's instrumentation helpers
-(:mod:`repro.telemetry.instrument`) consult :func:`metrics_active` before
-touching the process-wide registry, so an un-enabled process pays one bool
-check per instrumentation site and allocates nothing.
+Collection is off by default: the library records through
+:func:`repro.telemetry.instrument.emit`, which reads the collection switch
+before touching the process-wide registry, so an un-enabled process pays
+one bool check per instrumentation site and allocates nothing.
 
-The metric names emitted by the library itself are listed in
-``docs/observability.md``; they follow the Prometheus conventions
+The metric families emitted by the library itself are declared once, in
+:data:`repro.telemetry.instrument.METRICS` (catalogued in
+``docs/observability.md``); they follow the Prometheus conventions
 (``_total`` suffix on counters, base units — seconds, ratios in [0, 1]).
 """
 

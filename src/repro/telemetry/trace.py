@@ -43,8 +43,9 @@ PathLike = Union[str, os.PathLike]
 #: ``preprocess`` (one pipeline run), ``propagate`` (one unit-propagation
 #: sweep inside CDCL), ``restart`` (a solver restart event),
 #: ``cache.lookup`` (one result-cache probe), ``pool.task`` (one job
-#: executed by the worker pool), ``proof.check`` (one RUP/DRAT checker
-#: run), and ``cli.<command>`` (one CLI invocation, the usual root).
+#: executed by the worker pool), ``batch`` (one batch-run summary event),
+#: ``proof.check`` (one RUP/DRAT checker run), the ``service.*`` events
+#: and ``cli.<command>`` (one CLI invocation, the usual root).
 SPAN_TAXONOMY = (
     "solve",
     "session.solve",
@@ -55,9 +56,11 @@ SPAN_TAXONOMY = (
     "cache.shard.load",
     "cache.shard.compact",
     "pool.task",
+    "batch",
     "proof.check",
     "service.request",
     "service.dedup",
+    "service.degraded",
     "cli.solve",
     "cli.check",
     "cli.batch",

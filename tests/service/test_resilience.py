@@ -22,10 +22,11 @@ import time
 
 import pytest
 
-from repro import faults
+from repro import faults, telemetry
 from repro.exceptions import ServiceError
 from repro.faults import FaultPlan
 from repro.runtime.jobs import SolveOutcome
+from repro.runtime.pool import WorkerPool
 from repro.runtime.shards import ShardedResultCache
 from repro.service import (
     RetryPolicy,
@@ -107,6 +108,40 @@ class TestGracefulDegradation:
         assert stats["stats"]["degraded"] is True
         assert stats["stats"]["service"]["persist_failures"] >= 1
         assert service.stats.failures == 0  # degraded, not failed
+
+    def test_persist_failure_metric_counts_every_failed_put(self, tmp_path):
+        # A preprocessed verdict is stored twice (reduced key plus the
+        # original-key alias), so one request can fail two persists.
+        faults.install_plan(
+            FaultPlan([dict(point="shards.wal.append", kind="error", times=0)])
+        )
+        previous = telemetry.get_metrics()
+        registry = telemetry.enable_metrics(telemetry.MetricsRegistry())
+        executor = WorkerPool(workers=1).executor(inline=False)
+        service = SolveService(
+            ServiceConfig(),
+            cache=ShardedResultCache(directory=str(tmp_path / "c"), shards=1),
+            executor=executor,
+        )
+        line = json.dumps(
+            {
+                "op": "solve",
+                "id": "p1",
+                "dimacs": "p cnf 3 3\n1 2 0\n-1 0\n2 3 0\n",
+                "preprocess": True,
+            }
+        )
+        try:
+            response = asyncio.run(service.handle_line(line))
+        finally:
+            telemetry.enable_metrics(previous)
+            telemetry.disable_metrics()
+            executor.shutdown()
+        assert response["code"] == OK
+        assert service.stats.persist_failures == 2
+        failures = registry.get("repro_service_persist_failures_total")
+        assert failures.value == service.stats.persist_failures
+        assert registry.get("repro_service_degraded").value == 1.0
 
     def test_degraded_clears_on_next_successful_persist(self, tmp_path):
         faults.install_plan(

@@ -177,8 +177,11 @@ class TestDisabledFastPath:
         assert result.status in ("SAT", "UNSAT")
         assert len(get_metrics()) == 0
 
-    def test_record_helpers_early_return_when_disabled(self):
-        instrument.record_cache_lookup(True)
-        instrument.record_pool_task("SAT", 0.1)
-        instrument.record_batch_outcome("SAT", False)
+    def test_emit_early_returns_when_disabled(self):
+        instrument.emit("repro_cache_hits_total")
+        instrument.emit("repro_pool_tasks_total", status="SAT")
+        instrument.emit("repro_pool_task_seconds", 0.1)
+        instrument.emit(
+            "repro_batch_outcomes_total", status="SAT", from_cache="false"
+        )
         assert len(get_metrics()) == 0

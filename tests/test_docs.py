@@ -2,7 +2,9 @@
 
 The docs suite (``docs/api.md``) is generated by hand from the package
 ``__all__`` lists; this test keeps it honest by failing whenever a public
-symbol (or a subsystem package itself) loses its docstring.
+symbol (or a subsystem package itself) loses its docstring. The metric
+catalogue and span table in ``docs/observability.md`` are checked against
+``telemetry.METRICS`` and ``telemetry.SPAN_TAXONOMY``.
 """
 
 from __future__ import annotations
@@ -87,3 +89,46 @@ def test_api_reference_covers_exports(module_name):
     assert not undocumented, (
         f"docs/api.md does not mention {module_name} exports: {undocumented}"
     )
+
+
+def _doc_table(heading):
+    """Rows (lists of cells) of the first table under ``heading``."""
+    text = (
+        pathlib.Path(__file__).resolve().parent.parent / "docs" / "observability.md"
+    ).read_text(encoding="utf-8")
+    section = text.split(f"\n{heading}\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            rows.append([cell.strip() for cell in line.strip("|").split(" | ")])
+    assert rows, f"no table under {heading!r} in docs/observability.md"
+    return rows
+
+
+def test_metric_catalogue_matches_declaration():
+    """``docs/observability.md`` lists exactly the families in ``METRICS``."""
+    from repro.telemetry import METRICS
+
+    documented = set()
+    for names, kind, labels, _meaning in _doc_table("## Metric catalogue"):
+        label_names = () if labels == "—" else tuple(
+            sorted(label.strip("`") for label in labels.split(", "))
+        )
+        for name in names.split(" / "):
+            documented.add((name.strip("`"), kind, label_names))
+    declared = {(name, kind, labels) for name, (kind, labels, _) in METRICS.items()}
+    assert sorted(documented - declared) == [], "documented but not declared"
+    assert sorted(declared - documented) == [], "declared but not documented"
+
+
+def test_span_table_matches_taxonomy():
+    """The span table lists ``SPAN_TAXONOMY``; ``cli.<command>`` covers ``cli.*``."""
+    from repro.telemetry import SPAN_TAXONOMY
+
+    documented = {row[0].strip("`") for row in _doc_table("## Span taxonomy")}
+    assert any(name.startswith("cli.") for name in SPAN_TAXONOMY)
+    declared = {
+        "cli.<command>" if name.startswith("cli.") else name for name in SPAN_TAXONOMY
+    }
+    assert sorted(documented - declared) == [], "documented but not in taxonomy"
+    assert sorted(declared - documented) == [], "in taxonomy but not documented"
