@@ -26,7 +26,6 @@ from repro.runtime.jobs import (
     PORTFOLIO_SPEC,
     SolveJob,
     SolveOutcome,
-    solve_cache_key,
 )
 from repro.runtime.pool import WorkerPool
 from repro.solvers.registry import available_solvers
@@ -73,34 +72,6 @@ def discover_instances(
                 )
             found.update(matches)
     return sorted(found)
-
-
-def _hit_answers(job: SolveJob, hit: SolveOutcome) -> bool:
-    """Whether a cached outcome genuinely answers ``job``.
-
-    With preprocessing, jobs key on the *reduced* fingerprint plus the
-    assumptions mapped into the reduced numbering, so two structurally
-    different originals can share a cache entry. Their shared SAT/UNSAT
-    verdict is sound (the key pins down the exact reduced problem that was
-    solved), but a cached SAT *model* belongs to the formula that produced
-    it — re-check it against this job's formula (and assumptions) and
-    treat a mismatch as a miss.
-    """
-    if not job.preprocess:
-        # The key is the exact original fingerprint plus the exact
-        # assumption set: the cached outcome answers this very problem and
-        # its model (verified at store time) needs no re-evaluation.
-        return True
-    if hit.status != "SAT" or hit.assignment is None:
-        return True
-    model = hit.assignment_dict()
-    try:
-        satisfied = job.formula.evaluate(model)
-    except ReproError:
-        return False
-    return satisfied and all(
-        model.get(abs(lit)) == (lit > 0) for lit in job.assumptions
-    )
 
 
 @dataclass
@@ -206,12 +177,9 @@ class BatchRunner:
     samples / carrier / timeout:
         Forwarded to every job.
     preprocess:
-        Run the inprocessing pipeline on every instance before solving
-        (see :class:`~repro.runtime.jobs.SolveJob`); the cache then keys
-        on the reduced fingerprint (with reduced-numbering assumptions),
-        so instances that simplify to the same core share one cached
-        verdict, and every outcome is aliased under the instance's
-        original key so warm re-runs skip the pipeline entirely.
+        Run the inprocessing pipeline on every cache miss before solving
+        (see :class:`~repro.runtime.jobs.SolveJob`). The cache key is the
+        instance's own, so warm re-runs skip the pipeline entirely.
     proof_dir:
         Directory (created if missing) receiving one DRAT proof file per
         executed job, named ``<job_id>.drat``; each outcome records its
@@ -320,21 +288,6 @@ class BatchRunner:
         report.wall_seconds = time.perf_counter() - started
         return report
 
-    def _alias(self, job: SolveJob, outcome: SolveOutcome) -> None:
-        """Also store a preprocessed outcome under ``job``'s original key.
-
-        Preprocessed outcomes key on the reduced core, which a later run
-        can only recompute by running the pipeline again. The alias under
-        ``(original fingerprint, assumptions)`` makes warm re-runs of the
-        same instance pure O(1) lookups. Harmless for duplicates: the
-        alias entry is the same outcome object the semantic key holds.
-        """
-        if not job.preprocess:
-            return
-        original_key = solve_cache_key(job.fingerprint, job.assumptions)
-        if original_key != outcome.cache_key:
-            self._cache.put(outcome, key=original_key)
-
     def run_jobs(self, jobs: Sequence[SolveJob]) -> BatchReport:
         """Solve prepared jobs: cache front, pool for the misses.
 
@@ -349,19 +302,8 @@ class BatchRunner:
         slots: list[Optional[SolveOutcome]] = [None] * len(jobs)
         misses: dict[tuple[str, str], list[tuple[int, SolveJob]]] = {}
         for index, job in enumerate(jobs):
-            # Fast path first: the job's own (original fingerprint,
-            # assumptions) key. Preprocessed outcomes are additionally
-            # stored under this alias below, so a warm re-run of the same
-            # instances is answered without running the pipeline in the
-            # coordinator at all; only a never-seen original falls through
-            # to the reduced-core key (whose one pipeline run is kept on
-            # the job and reused by the worker).
-            original_key = solve_cache_key(job.fingerprint, job.assumptions)
-            hit = self._cache.get(original_key)
-            if hit is None and job.preprocess:
-                hit = self._cache.get(job.cache_key)
-            if hit is not None and not _hit_answers(job, hit):
-                hit = None
+            key = job.cache_key
+            hit = self._cache.get(key)
             if hit is not None:
                 hit.job_id = job.job_id
                 hit.label = job.label
@@ -370,24 +312,13 @@ class BatchRunner:
                 hit.solver = job.solver
                 slots[index] = hit
             else:
-                misses.setdefault((job.cache_key, job.solver), []).append(
-                    (index, job)
-                )
+                misses.setdefault((key, job.solver), []).append((index, job))
         representatives = [entries[0][1] for entries in misses.values()]
         solved = self._pool.run(representatives)
-        leftovers: list[tuple[int, SolveJob]] = []
         for entries, outcome in zip(misses.values(), solved):
             self._cache.put(outcome)
-            self._alias(entries[0][1], outcome)
             slots[entries[0][0]] = outcome
             for index, job in entries[1:]:
-                # A preprocessed key can group structurally different
-                # formulas; fan a SAT model out only to jobs it actually
-                # satisfies and re-solve the rest individually.
-                if not _hit_answers(job, outcome):
-                    leftovers.append((index, job))
-                    continue
-                self._alias(job, outcome)
                 # Only definitive answers count as served-from-cache; a
                 # duplicated ERROR/UNKNOWN will be re-solved next run.
                 slots[index] = outcome.copy(
@@ -396,13 +327,6 @@ class BatchRunner:
                     from_cache=outcome.is_definitive,
                     elapsed_seconds=0.0,
                 )
-        if leftovers:
-            for (index, job), outcome in zip(
-                leftovers, self._pool.run([job for _, job in leftovers])
-            ):
-                self._cache.put(outcome)
-                self._alias(job, outcome)
-                slots[index] = outcome
         report = BatchReport(
             outcomes=[o for o in slots if o is not None],
             wall_seconds=time.perf_counter() - started,

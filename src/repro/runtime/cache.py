@@ -9,8 +9,10 @@ solver the later job asked for. The cache therefore keys on
 :meth:`repro.cnf.formula.CNFFormula.fingerprint` with the canonically
 sorted assumption literals (the bare fingerprint when there are none, so
 pre-assumption cache files stay valid). Different assumption sets can
-never collide. Only definitive outcomes are stored; UNKNOWN/ERROR results
-are never cached.
+never collide. A job that preprocesses keys exactly like one that does
+not, so a cached model always satisfies the formula it is served for.
+Only definitive outcomes are stored; UNKNOWN/ERROR results are never
+cached.
 
 The cache can persist to a JSON file so separate CLI invocations share a
 warm cache (``repro.cli batch --cache-file``).
@@ -61,6 +63,19 @@ def atomic_write_json(path: PathLike, payload) -> None:
         except OSError:
             pass
         raise
+
+
+def decode_outcome(data: dict) -> Optional[SolveOutcome]:
+    """A persisted outcome, or ``None`` when the entry is stale.
+
+    Earlier releases stored preprocessed verdicts under the *reduced*
+    formula's key and marked them with a non-null ``solved_assumptions``.
+    Such a key can name a formula the cached model does not satisfy, so
+    those entries are skipped on load and dropped by the next compaction.
+    """
+    if data.get("solved_assumptions") is not None:
+        return None
+    return SolveOutcome.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -176,18 +191,15 @@ class ResultCache:
             return None
         return entry.copy(from_cache=True, elapsed_seconds=0.0)
 
-    def put(self, outcome: SolveOutcome, key: Optional[str] = None) -> bool:
+    def put(self, outcome: SolveOutcome) -> bool:
         """Insert a definitive outcome; returns ``False`` when not cacheable.
 
         Only verified SAT/UNSAT outcomes with a fingerprint are stored —
         caching an UNKNOWN or ERROR would pin a transient failure onto every
-        future occurrence of the formula. The key defaults to the outcome's
-        own ``(fingerprint, assumptions)`` cache key; an explicit ``key``
-        stores the outcome under an alias (the batch runner aliases
-        preprocessed outcomes under each job's *original* key so warm
-        lookups never re-run the pipeline).
+        future occurrence of the formula. The entry lives under the
+        outcome's own ``(fingerprint, assumptions)`` cache key.
         """
-        key = key if key is not None else outcome.cache_key
+        key = outcome.cache_key
         if not key or not outcome.is_definitive:
             return False
         evicted = 0
@@ -246,10 +258,6 @@ class ResultCache:
         written before a field existed load with that field at its default.
         """
         with self._lock:
-            # Keys are stored explicitly: an entry may live under an alias
-            # (the batch runner's original-fingerprint keys for
-            # preprocessed outcomes), which ``outcome.cache_key`` alone
-            # could not reconstruct.
             payload = {
                 "version": 2,
                 "entries": [
@@ -263,7 +271,8 @@ class ResultCache:
     def load(self, path: PathLike) -> int:
         """Merge entries from a :meth:`save` file; returns how many loaded.
 
-        Unreadable or structurally wrong files raise
+        Stale entries (see :func:`decode_outcome`) are skipped and not
+        counted. Unreadable or structurally wrong files raise
         :class:`RuntimeSubsystemError`; a missing file is the caller's check.
         """
         # Broad catch by design: a cache file is untrusted persisted state,
@@ -272,18 +281,17 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            entries: list[tuple[Optional[str], SolveOutcome]] = []
-            for data in payload["entries"]:
-                if "outcome" in data:
-                    entries.append(
-                        (data["key"], SolveOutcome.from_dict(data["outcome"]))
-                    )
-                else:
-                    # Version-1 files stored bare outcomes; their key is
-                    # reconstructed from the outcome itself.
-                    entries.append((None, SolveOutcome.from_dict(data)))
+            # Version-2 entries wrap the outcome with its key; version-1
+            # files stored bare outcomes. Either way the key is rebuilt
+            # from the outcome itself.
+            outcomes = [
+                decode_outcome(data["outcome"] if "outcome" in data else data)
+                for data in payload["entries"]
+            ]
         except Exception as exc:  # noqa: BLE001 — persistence boundary
             raise RuntimeSubsystemError(
                 f"cannot load cache file {path!r}: {exc}"
             ) from exc
-        return sum(1 for key, outcome in entries if self.put(outcome, key=key))
+        return sum(
+            1 for outcome in outcomes if outcome is not None and self.put(outcome)
+        )

@@ -107,12 +107,10 @@ class SolveJob:
     preprocess:
         Run the :mod:`repro.preprocess` inprocessing pipeline (with the
         assumption variables frozen) before dispatching to the solver; the
-        solver then sees the reduced formula, SAT models are reconstructed
-        over the original variables, and the cache key pairs the *reduced*
-        fingerprint with the assumptions *mapped into the reduced
-        numbering* (:attr:`solve_assumptions`) — so any two jobs that
-        simplify to the same core under the same reduced-space assumptions
-        share one cached verdict.
+        solver then sees the reduced formula and SAT models are
+        reconstructed over the original variables. The cache key is the
+        job's own :attr:`cache_key` either way, so a cached verdict always
+        answers the formula that was asked.
     proof:
         Optional file path to record a DRAT proof of this job into (a
         path, not a log object, so the job stays picklable across the
@@ -166,74 +164,16 @@ class SolveJob:
             )
         if not self.job_id:
             self.job_id = f"job-{self.formula.fingerprint()[:16]}"
-        self._reduction = None
 
     @property
     def fingerprint(self) -> str:
         """Canonical fingerprint of the job's formula."""
         return self.formula.fingerprint()
 
-    def preprocessed(self, deadline: Optional[float] = None, proof=None):
-        """The job's :class:`~repro.preprocess.PreprocessResult` (cached).
-
-        Only meaningful when ``preprocess`` is set; the pipeline runs once
-        with the assumption variables frozen and the result is reused for
-        both the cache key and the dispatch (it also travels with the job
-        across the worker-process boundary). ``deadline`` (a
-        ``time.monotonic()`` value) bounds the first computation; cached
-        reductions return immediately. ``proof`` (an open
-        :class:`~repro.proofs.ProofLog`) records the pipeline's
-        elimination lines; since the pipeline is deterministic, a call
-        with a proof re-runs it even over a cached reduction — the
-        coordinator may have computed the reduction for the cache key
-        before the executing side asks for the proof lines.
-        """
-        if not self.preprocess:
-            raise RuntimeSubsystemError(
-                "preprocessed() requires SolveJob(preprocess=True)"
-            )
-        if self._reduction is None or proof is not None:
-            from repro.preprocess.pipeline import Preprocessor
-
-            self._reduction = Preprocessor().preprocess(
-                self.formula,
-                frozen={abs(lit) for lit in self.assumptions},
-                deadline=deadline,
-                proof=proof,
-            )
-        return self._reduction
-
-    @property
-    def solve_fingerprint(self) -> str:
-        """The fingerprint the cache keys on: reduced when preprocessing."""
-        if self.preprocess:
-            return self.preprocessed().formula.fingerprint()
-        return self.fingerprint
-
-    @property
-    def solve_assumptions(self) -> tuple[int, ...]:
-        """The assumptions in the numbering of the formula actually solved.
-
-        Without preprocessing these are the job's own assumptions. With it,
-        they are translated through the reduction's variable map, because
-        the cache key must describe the problem the solver saw: two
-        different originals can share a reduced core yet map the same
-        original literal to different reduced variables, and keying on the
-        original literals would let their verdicts collide unsoundly. When
-        preprocessing refutes the formula outright the assumptions played
-        no part (they are frozen, not asserted), so the key carries none.
-        """
-        if not self.preprocess:
-            return self.assumptions
-        reduction = self.preprocessed()
-        if reduction.status == "UNSAT":
-            return ()
-        return reduction.map_assumptions(self.assumptions)
-
     @property
     def cache_key(self) -> str:
-        """Result-cache key: (solve) fingerprint plus canonical assumptions."""
-        return solve_cache_key(self.solve_fingerprint, self.solve_assumptions)
+        """Result-cache key: the fingerprint plus canonical assumptions."""
+        return solve_cache_key(self.fingerprint, self.assumptions)
 
 
 @dataclass
@@ -245,11 +185,6 @@ class SolveOutcome:
     job_id / label / fingerprint / assumptions:
         Copied from the job so outcomes are self-identifying (and so the
         cache can reconstruct the ``(fingerprint, assumptions)`` key).
-    solved_assumptions:
-        Set by preprocessed execution: the assumptions translated into the
-        reduced formula's numbering (``fingerprint`` is then the reduced
-        fingerprint). ``None`` for direct solves. :attr:`cache_key` prefers
-        this over ``assumptions`` so keys never mix numberings.
     status:
         ``"SAT"``, ``"UNSAT"``, ``"UNKNOWN"`` or ``"ERROR"``.
     solver:
@@ -289,7 +224,6 @@ class SolveOutcome:
     label: str = ""
     fingerprint: str = ""
     assumptions: tuple[int, ...] = ()
-    solved_assumptions: Optional[tuple[int, ...]] = None
     winner: str = ""
     assignment: Optional[tuple[int, ...]] = None
     verified: bool = False
@@ -310,22 +244,10 @@ class SolveOutcome:
 
     @property
     def cache_key(self) -> str:
-        """Result-cache key (empty when the outcome has no fingerprint).
-
-        ``solved_assumptions`` — the assumptions in the numbering of the
-        formula ``fingerprint`` describes (set by preprocessed execution,
-        see :attr:`SolveJob.solve_assumptions`) — takes precedence over the
-        job-facing ``assumptions`` so the key always pairs a fingerprint
-        with literals in that formula's own numbering.
-        """
+        """Result-cache key (empty when the outcome has no fingerprint)."""
         if not self.fingerprint:
             return ""
-        assumptions = (
-            self.assumptions
-            if self.solved_assumptions is None
-            else self.solved_assumptions
-        )
-        return solve_cache_key(self.fingerprint, assumptions)
+        return solve_cache_key(self.fingerprint, self.assumptions)
 
     def assignment_dict(self) -> Optional[dict[int, bool]]:
         """The SAT model as a ``variable -> bool`` mapping (``None`` otherwise)."""
@@ -342,11 +264,6 @@ class SolveOutcome:
             "label": self.label,
             "fingerprint": self.fingerprint,
             "assumptions": list(self.assumptions),
-            "solved_assumptions": (
-                list(self.solved_assumptions)
-                if self.solved_assumptions is not None
-                else None
-            ),
             "winner": self.winner,
             "assignment": list(self.assignment) if self.assignment is not None else None,
             "verified": self.verified,
@@ -364,7 +281,6 @@ class SolveOutcome:
     def from_dict(cls, data: dict) -> "SolveOutcome":
         """Inverse of :meth:`to_dict` (``from_cache`` always starts False)."""
         assignment = data.get("assignment")
-        solved = data.get("solved_assumptions")
         return cls(
             job_id=data["job_id"],
             status=data["status"],
@@ -372,7 +288,6 @@ class SolveOutcome:
             label=data.get("label", ""),
             fingerprint=data.get("fingerprint", ""),
             assumptions=tuple(data.get("assumptions", ())),
-            solved_assumptions=tuple(solved) if solved is not None else None,
             winner=data.get("winner", ""),
             assignment=tuple(assignment) if assignment is not None else None,
             verified=data.get("verified", False),

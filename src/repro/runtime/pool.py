@@ -156,10 +156,11 @@ def _contradictory_core(assumptions: tuple[int, ...]) -> tuple[int, ...]:
 def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
     """Preprocess (assumption variables frozen), dispatch, reconstruct.
 
-    The outcome's ``fingerprint`` is the *reduced* formula's, matching
-    :attr:`SolveJob.cache_key`, so any job whose formula simplifies to the
-    same core is answered from the cache. Verdicts reached without running
-    a solver at all carry ``winner="preprocess"``.
+    The pipeline runs here, once per job, wherever the job executes. The
+    outcome carries the job's own fingerprint and assumptions, so it is
+    cached under :attr:`SolveJob.cache_key` like any direct solve and its
+    model always belongs to the job's formula. Verdicts reached without
+    running a solver at all carry ``winner="preprocess"``.
 
     With ``job.proof`` the pipeline's elimination lines land in the file
     first (original numbering) and the residual solver writes through a
@@ -167,17 +168,23 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
     Failing cores from the residual solve are mapped back into the
     original numbering before they reach the outcome.
     """
+    from repro.preprocess.pipeline import Preprocessor
+
     deadline = time.monotonic() + job.timeout if job.timeout else None
     log, owns_log = resolve_proof_log(job.proof)
     try:
-        reduction = job.preprocessed(deadline=deadline, proof=log)
+        reduction = Preprocessor().preprocess(
+            job.formula,
+            frozen={abs(lit) for lit in job.assumptions},
+            deadline=deadline,
+            proof=log,
+        )
         identity = dict(
             job_id=job.job_id,
             solver=job.solver,
             label=job.label,
-            fingerprint=reduction.formula.fingerprint(),
+            fingerprint=job.fingerprint,
             assumptions=job.assumptions,
-            solved_assumptions=job.solve_assumptions,
             proof=job.proof or "",
         )
         values = _assumption_values(job.assumptions)

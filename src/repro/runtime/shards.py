@@ -57,7 +57,12 @@ from repro.exceptions import (
     CachePersistError,
     RuntimeSubsystemError,
 )
-from repro.runtime.cache import CacheStats, ResultCache, atomic_write_json
+from repro.runtime.cache import (
+    CacheStats,
+    ResultCache,
+    atomic_write_json,
+    decode_outcome,
+)
 from repro.runtime.jobs import SolveOutcome
 from repro.runtime.locks import DEFAULT_LEASE_TIMEOUT, FileLease
 from repro.telemetry import instrument as _telemetry
@@ -146,6 +151,8 @@ class _Shard:
 
         Caller holds the lease. With ``trim``, a torn tail is cut back to
         the committed prefix so future appends never land after garbage.
+        Stale records (see :func:`~repro.runtime.cache.decode_outcome`)
+        are skipped: neither replayed nor torn, and replay goes on.
         """
         if not os.path.exists(self.wal_path):
             return (0, 0)
@@ -159,7 +166,7 @@ class _Shard:
             try:
                 record = json.loads(raw.decode("utf-8"))
                 key = record["key"]
-                outcome = SolveOutcome.from_dict(record["outcome"])
+                outcome = decode_outcome(record["outcome"])
                 if not isinstance(key, str) or not key:
                     raise ValueError("record has no key")
             except Exception:  # noqa: BLE001 — persistence boundary
@@ -168,9 +175,10 @@ class _Shard:
                 # too) never committed. Drop it and stop replaying.
                 torn += sum(1 for rest in lines[position:] if rest.strip())
                 break
-            target.put(outcome, key=key)
             survivors.append(raw)
-            replayed += 1
+            if outcome is not None:
+                target.put(outcome)
+                replayed += 1
         if torn and trim:
             # Trim the log back to its committed prefix so future
             # appends never land after garbage bytes.
@@ -265,11 +273,11 @@ class _Shard:
                 if os.path.exists(self.snapshot_path):
                     merged.load(self.snapshot_path)
                 self._replay_wal(merged, trim=False)
-                for key, outcome in self.cache.entries():
+                for _, outcome in self.cache.entries():
                     # Own entries last: anything this process served is
                     # present even if its WAL append failed (degraded
                     # spell) — the compaction heals the gap.
-                    merged.put(outcome, key=key)
+                    merged.put(outcome)
                 _faults.fire("shards.snapshot.write")
                 entries = merged.save(self.snapshot_path)
                 # Truncate only after the snapshot is durably in place: a
@@ -281,7 +289,7 @@ class _Shard:
                 self.pending = 0
                 for key, outcome in merged.entries():
                     if key not in self.cache:
-                        self.cache.put(outcome, key=key)
+                        self.cache.put(outcome)
             finally:
                 self.lease.release()
         return entries
@@ -448,7 +456,7 @@ class ShardedResultCache:
         """Look up a cached outcome (see :meth:`ResultCache.get`)."""
         return self._shard_for(key).cache.get(key)
 
-    def put(self, outcome: SolveOutcome, key: Optional[str] = None) -> bool:
+    def put(self, outcome: SolveOutcome) -> bool:
         """Durably store a definitive outcome; ``False`` when not cacheable.
 
         Write-ahead contract: the WAL record is appended and flushed
@@ -459,21 +467,21 @@ class ShardedResultCache:
         so the caller can degrade; the next successful compaction folds
         the entry into the snapshot.
         """
-        key = key if key is not None else outcome.cache_key
+        key = outcome.cache_key
         if not key or not outcome.is_definitive:
             return False
         shard = self._shard_for(key)
         try:
             shard.append(key, outcome)
         except (OSError, CacheLockError) as exc:
-            shard.cache.put(outcome, key=key)
+            shard.cache.put(outcome)
             raise CachePersistError(
                 f"shard {shard.index} could not persist verdict "
                 f"{key[:16]}...: {type(exc).__name__}: {exc}"
             ) from exc
         if _telemetry.active():
             _telemetry.emit("repro_cache_wal_records_total", shard=shard.index)
-        stored = shard.cache.put(outcome, key=key)
+        stored = shard.cache.put(outcome)
         if (
             self._compact_threshold
             and shard.pending >= self._compact_threshold

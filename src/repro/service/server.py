@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 from repro import faults as _faults
 from repro.exceptions import CachePersistError, RuntimeSubsystemError
-from repro.runtime.jobs import ERROR, SolveJob, SolveOutcome, solve_cache_key
+from repro.runtime.jobs import ERROR, SolveJob, SolveOutcome
 from repro.runtime.locks import DEFAULT_LEASE_TIMEOUT
 from repro.runtime.pool import JobExecutor, WorkerPool
 from repro.runtime.shards import ShardedResultCache
@@ -391,16 +391,8 @@ class SolveService:
             },
         }
 
-    def _store(self, job: SolveJob, outcome: SolveOutcome) -> None:
-        """Persist a definitive outcome under its own key and the original.
-
-        Mirrors the batch runner: preprocessed outcomes key on the
-        reduced fingerprint, so the original ``(fingerprint,
-        assumptions)`` key is stored as an alias — a later identical
-        request is then answered without re-running the pipeline. The
-        model (when SAT) was verified against this very job's formula,
-        so the alias entry is sound for any structurally identical
-        original.
+    def _store(self, outcome: SolveOutcome) -> None:
+        """Persist a definitive outcome under its own cache key.
 
         Persistence failures degrade instead of failing the request:
         the entry is already in memory (``put`` inserts before raising
@@ -409,26 +401,18 @@ class SolveService:
         durability must never lose availability. The flag clears on the
         next successful persist.
         """
-        persisted = failed = False
-        original_key = solve_cache_key(job.fingerprint, job.assumptions)
-        for key in (None, original_key):
-            if key == outcome.cache_key:
-                continue
-            try:
-                if self._cache.put(outcome, key=key):
-                    persisted = True
-            except CachePersistError:
-                failed = True
-                self._stats.persist_failures += 1
-                if _telemetry.active():
-                    _telemetry.emit("repro_service_persist_failures_total")
-        if failed:
+        try:
+            persisted = self._cache.put(outcome)
+        except CachePersistError:
+            self._stats.persist_failures += 1
             self._degraded = True
             if _telemetry.active():
+                _telemetry.emit("repro_service_persist_failures_total")
                 _telemetry.emit("repro_service_degraded", 1)
             if _telemetry.tracing_active():
                 _telemetry.event("service.degraded", active=True)
-        elif persisted and self._degraded:
+            return
+        if persisted and self._degraded:
             self._degraded = False
             if _telemetry.active():
                 _telemetry.emit("repro_service_degraded", 0)
@@ -438,9 +422,9 @@ class SolveService:
     async def _handle_solve(self, payload: dict, request_id: str) -> dict:
         self._stats.solves += 1
         job = build_job(payload, self._defaults)
-        original_key = solve_cache_key(job.fingerprint, job.assumptions)
+        cache_key = job.cache_key
 
-        hit = self._cache.get(original_key)
+        hit = self._cache.get(cache_key)
         if hit is not None:
             self._stats.cache_hits += 1
             # ``solver`` documents what this request asked for; ``winner``
@@ -450,13 +434,13 @@ class SolveService:
             hit.solver = job.solver
             return ok_response(request_id, hit, from_cache=True)
 
-        dedup_key = (original_key, job.solver, job.preprocess)
+        dedup_key = (cache_key, job.solver, job.preprocess)
         shared = self._inflight.get(dedup_key)
         if shared is not None:
             self._stats.dedup_hits += 1
             if _telemetry.active():
                 if _telemetry.tracing_active():
-                    _telemetry.event("service.dedup", key=original_key)
+                    _telemetry.event("service.dedup", key=cache_key)
                 _telemetry.emit("repro_service_dedup_hits_total")
             # shield(): a cancelled waiter must not cancel the shared solve.
             outcome = await asyncio.shield(shared)
@@ -491,7 +475,7 @@ class SolveService:
         try:
             outcome = await self._execute(job)
             self._stats.executed += 1
-            self._store(job, outcome)
+            self._store(outcome)
             if not shared.done():
                 shared.set_result(outcome)
             return ok_response(request_id, outcome)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cnf.formula import CNFFormula
+from repro.cnf.generators import planted_ksat
 from repro.cnf.paper_instances import (
     example6_instance,
     example7_instance,
@@ -15,6 +16,7 @@ from repro.cnf.paper_instances import (
 from repro.core.config import NBLConfig
 from repro.noise.telegraph import BipolarCarrier
 from repro.noise.uniform import UniformCarrier
+from repro.preprocess.pipeline import Preprocessor
 
 
 #: Master seed shared by every randomised test; change it here to re-roll
@@ -80,3 +82,26 @@ def fast_bipolar_config() -> NBLConfig:
         min_samples=15_000,
         seed=11,
     )
+
+
+@pytest.fixture(scope="session")
+def shared_core_pair() -> tuple[CNFFormula, CNFFormula]:
+    """``(core, shifted)``: two different formulas with one reduced core.
+
+    ``core`` is the preprocessing residual of a planted 40-variable 3-SAT
+    instance, so the pipeline leaves it unchanged. ``shifted`` renames
+    every variable of ``core`` up by one and adds the unit clause ``[1]``;
+    preprocessing it propagates ``x1`` and renumbers back to exactly
+    ``core``. A model of ``shifted`` is therefore not a model of ``core``.
+    """
+    residual = Preprocessor().preprocess(planted_ksat(40, 170, seed=0)[0])
+    core = residual.formula
+    shifted = CNFFormula.from_ints(
+        [[1]]
+        + [
+            [lit + 1 if lit > 0 else lit - 1 for lit in clause]
+            for clause in core.to_ints()
+        ],
+        core.num_variables + 1,
+    )
+    return core, shifted

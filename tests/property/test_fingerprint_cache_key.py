@@ -5,9 +5,10 @@ The runtime's result cache is only sound if
 * :meth:`CNFFormula.fingerprint` is invariant under clause reordering and
   literal reordering (structurally identical formulas must share answers),
 * the fingerprint is sensitive to any literal flip or clause change
-  (different formulas must not share answers), and
+  (different formulas must not share answers),
 * :func:`solve_cache_key` never maps different ``(formula, assumption
-  set)`` pairs to the same key.
+  set)`` pairs to the same key, and
+* a job's key is its own formula's key whether or not it preprocesses.
 
 Each property is exercised over a seeded stream of random formulas.
 """
@@ -103,6 +104,25 @@ class TestCacheKey:
             assert solve_cache_key(formula.fingerprint()) == formula.fingerprint()
             job = SolveJob(formula=formula, solver="cdcl")
             assert job.cache_key == formula.fingerprint()
+
+    def test_job_key_is_own_fingerprint_with_or_without_preprocess(self, seed):
+        for rng, formula in _random_formulas(seed + 9, count=10):
+            size = int(rng.integers(0, 4))
+            variables = rng.choice(formula.num_variables, size=size, replace=False)
+            assumptions = tuple(
+                int(v) + 1 if rng.random() < 0.5 else -(int(v) + 1)
+                for v in variables
+            )
+            for preprocess in (False, True):
+                job = SolveJob(
+                    formula=formula,
+                    solver="cdcl",
+                    assumptions=assumptions,
+                    preprocess=preprocess,
+                )
+                assert job.cache_key == solve_cache_key(
+                    formula.fingerprint(), assumptions
+                )
 
     def test_assumption_order_is_canonical(self, seed):
         for rng, formula in _random_formulas(seed + 6, count=10):

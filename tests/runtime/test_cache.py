@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cnf.formula import CNFFormula
@@ -117,6 +119,33 @@ class TestPersistence:
         hit = fresh.get("a")
         assert hit.assignment == (1, -2) and hit.status == "SAT"
         assert fresh.get("b").status == "UNSAT"
+
+    def test_load_skips_stale_preprocessed_entries(self, tmp_path):
+        # Earlier releases stored preprocessed verdicts under the reduced
+        # formula's key (and aliased them under the original's), marking
+        # them with a non-null ``solved_assumptions``. Those entries can
+        # answer a formula their model does not satisfy: never serve them.
+        poisoned = _outcome("reduced-fp", assignment=(2,)).to_dict()
+        poisoned["solved_assumptions"] = []
+        path = tmp_path / "cache.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "version": 2,
+                    "entries": [
+                        {"key": "a", "outcome": _outcome("a").to_dict()},
+                        {"key": "reduced-fp", "outcome": poisoned},
+                        {"key": "original-fp", "outcome": poisoned},
+                        {"key": "b", "outcome": _outcome("b").to_dict()},
+                    ],
+                }
+            )
+        )
+        fresh = ResultCache()
+        assert fresh.load(path) == 2
+        assert fresh.get("a") is not None and fresh.get("b") is not None
+        assert fresh.get("reduced-fp") is None
+        assert fresh.get("original-fp") is None
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -8,9 +8,7 @@ from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import planted_ksat, random_ksat
 from repro.cnf.paper_instances import section4_unsat_instance
 from repro.cnf.structured import all_equal_formula, pigeonhole_formula
-from repro.exceptions import RuntimeSubsystemError
 from repro.runtime import BatchRunner, ResultCache, SolveJob, execute_job
-from repro.runtime.jobs import solve_cache_key
 from repro.solvers.brute_force import BruteForceSolver
 
 
@@ -20,66 +18,26 @@ def formula():
 
 
 class TestSolveJobPreprocess:
-    def test_cache_key_uses_reduced_fingerprint(self, formula):
-        plain = SolveJob(formula=formula, solver="cdcl")
-        pre = SolveJob(formula=formula, solver="cdcl", preprocess=True)
-        reduced_fp = pre.preprocessed().formula.fingerprint()
-        assert pre.cache_key == solve_cache_key(reduced_fp, ())
-        assert pre.cache_key != plain.cache_key or reduced_fp == plain.fingerprint
-        assert pre.fingerprint == formula.fingerprint()  # original preserved
-
-    def test_preprocessed_requires_flag(self, formula):
-        job = SolveJob(formula=formula, solver="cdcl")
-        with pytest.raises(RuntimeSubsystemError):
-            job.preprocessed()
-
-    def test_preprocessed_freezes_assumption_variables(self, formula):
-        job = SolveJob(
-            formula=formula, solver="cdcl", assumptions=(1, -3), preprocess=True
-        )
-        reduction = job.preprocessed()
-        assert 1 in reduction.variable_map and 3 in reduction.variable_map
-
-    def test_cache_key_maps_assumptions_into_reduced_numbering(self):
-        # Variable elimination renumbers the survivors, so the assumption
-        # literal the solver actually sees is not the original one; the
-        # key must carry the *mapped* literal, else two originals sharing
-        # a reduced core but mapping the same original variable to
-        # different reduced variables would share verdicts unsoundly.
+    def test_preprocessed_freezes_assumption_variables(self):
+        # Variable elimination renumbers the survivors; the assumption
+        # variable must stay frozen through it, so the preprocessed job
+        # answers (and blames the same core) exactly like the direct one.
         php = pigeonhole_formula(6, 5)
-        job = SolveJob(
-            formula=php, solver="cdcl", assumptions=(30,), preprocess=True
+        direct = execute_job(SolveJob(formula=php, solver="cdcl", assumptions=(30,)))
+        pre = execute_job(
+            SolveJob(formula=php, solver="cdcl", assumptions=(30,), preprocess=True)
         )
-        reduction = job.preprocessed()
-        mapped = reduction.map_assumptions((30,))
-        assert mapped != (30,)  # the renumbering genuinely moved it
-        assert job.cache_key == solve_cache_key(
-            reduction.formula.fingerprint(), mapped
-        )
+        assert direct.status == "UNSAT"
+        assert (pre.status, pre.core) == (direct.status, direct.core)
 
-    def test_cache_key_drops_assumptions_on_refuted_formula(self):
-        # The pipeline refutes the formula with the assumption variable
-        # merely frozen, never asserted: the verdict is a property of the
-        # contradictory core alone, so the key carries no assumptions and
-        # every refuted-under-any-assumptions job shares it.
-        job = SolveJob(
-            formula=section4_unsat_instance(),
-            solver="cdcl",
-            assumptions=(1,),
-            preprocess=True,
-        )
-        assert job.preprocessed().status == "UNSAT"
-        assert "#" not in job.cache_key
-
-    def test_same_core_same_key(self):
-        # Clause order and literal order do not matter before preprocessing,
-        # and the chain formula reduces to the same (empty) core as a
-        # trivially satisfiable singleton — they share a cache key.
+    def test_reordered_formula_same_key(self):
+        # Clause order and literal order do not matter: the key is the
+        # canonical fingerprint whether or not the job preprocesses.
         chain = all_equal_formula(8)
         shuffled = CNFFormula(list(reversed(chain.clauses)), chain.num_variables)
         a = SolveJob(formula=chain, solver="cdcl", preprocess=True)
         b = SolveJob(formula=shuffled, solver="cdcl", preprocess=True)
-        assert a.cache_key == b.cache_key
+        assert a.cache_key == b.cache_key == chain.fingerprint()
 
 
 class TestExecuteJobPreprocess:
@@ -152,7 +110,7 @@ class TestExecuteJobPreprocess:
 
 
 class TestBatchRunnerPreprocess:
-    def test_same_core_served_from_cache(self):
+    def test_reordered_duplicate_served_from_cache(self):
         runner = BatchRunner(solver="cdcl", preprocess=True)
         chain = all_equal_formula(9)
         shuffled = CNFFormula(list(reversed(chain.clauses)), chain.num_variables)
@@ -163,22 +121,36 @@ class TestBatchRunnerPreprocess:
         assert report.cache_hits == 1
 
     def test_cached_model_revalidated_against_new_formula(self):
-        # Both formulas preprocess to the trivial SAT core (same cache
-        # key), but a model of the first does not satisfy the second: the
-        # runner must detect the mismatch and re-solve instead of serving
-        # a wrong model from the cache.
+        # Both formulas preprocess to the trivial SAT core, but a model of
+        # the first does not satisfy the second. Each job keys on its own
+        # formula, so neither is answered with the other's model.
         force_true = CNFFormula.from_ints([[1], [1, 2]])  # needs x1=True
         force_false = CNFFormula.from_ints([[-1], [-1, 2]])  # needs x1=False
         runner = BatchRunner(solver="cdcl", preprocess=True)
         a = runner.make_job(force_true, label="true")
         b = runner.make_job(force_false, label="false")
-        assert a.cache_key == b.cache_key  # same reduced (empty) core
+        assert a.cache_key != b.cache_key
         report = runner.run_jobs([a, b])
+        assert report.cache_hits == 0
         models = {o.label: o.assignment_dict() for o in report.outcomes}
-        assert models["true"][1] is True
-        assert models["false"][1] is False
         assert force_true.evaluate(models["true"])
         assert force_false.evaluate(models["false"])
+
+    def test_shared_core_never_serves_a_foreign_model(self, shared_core_pair):
+        # ``shifted`` preprocesses to exactly ``core``; a plain run over
+        # the same cache must solve ``core`` rather than serve the model
+        # of ``shifted``, which mentions a variable ``core`` lacks.
+        core, shifted = shared_core_pair
+        cache = ResultCache()
+        pre = BatchRunner(solver="cdcl", cache=cache, preprocess=True)
+        plain = BatchRunner(solver="cdcl", cache=cache)
+        first = pre.run_jobs([pre.make_job(shifted)]).outcomes[0]
+        second = plain.run_jobs([plain.make_job(core)]).outcomes[0]
+        for formula, outcome in ((shifted, first), (core, second)):
+            assert outcome.status == "SAT" and outcome.verified
+            assert all(abs(lit) <= formula.num_variables for lit in outcome.assignment)
+            assert formula.evaluate(outcome.assignment_dict())
+        assert not second.from_cache
 
     def test_preprocess_roundtrips_through_worker_pool(self):
         runner = BatchRunner(solver="cdcl", workers=2, preprocess=True)
@@ -191,33 +163,26 @@ class TestBatchRunnerPreprocess:
             if not outcome.from_cache:
                 assert outcome.verified
 
-    def test_alias_entries_survive_persistence(self, tmp_path):
-        # save() must keep the key each entry lives under: an alias key is
-        # not reconstructible from the outcome, and dropping it would make
-        # every warm-from-disk batch re-run the pipeline per instance.
+    def test_preprocessed_entries_survive_persistence(self, tmp_path):
         cache = ResultCache()
         runner = BatchRunner(solver="cdcl", cache=cache, preprocess=True)
         formula = planted_ksat(7, 20, seed=5)[0]
         runner.run_jobs([runner.make_job(formula, label="x")])
-        alias = solve_cache_key(formula.fingerprint(), ())
         path = tmp_path / "cache.json"
         saved = cache.save(path)
         warm = ResultCache()
         assert warm.load(path) == saved
-        assert warm.get(alias) is not None
+        assert warm.get(formula.fingerprint()) is not None
 
-    def test_outcomes_aliased_under_original_key(self):
-        # Preprocessed outcomes key on the reduced core, which only the
-        # pipeline can recompute; the alias under the original key lets a
-        # warm re-run of the same instance hit without preprocessing in
-        # the coordinator.
+    def test_outcomes_keyed_on_own_fingerprint(self):
+        # A preprocessed outcome lives under the job's own key, so a warm
+        # re-run of the same instance hits without running the pipeline.
         cache = ResultCache()
         runner = BatchRunner(solver="cdcl", cache=cache, preprocess=True)
         formula = planted_ksat(7, 20, seed=3)[0]
-        job = runner.make_job(formula, label="x")
-        runner.run_jobs([job])
-        alias = solve_cache_key(formula.fingerprint(), ())
-        assert cache.get(alias) is not None
+        runner.run_jobs([runner.make_job(formula, label="x")])
+        assert len(cache) == 1
+        assert cache.get(formula.fingerprint()) is not None
         report = runner.run_jobs([runner.make_job(formula, label="x")])
         assert report.cache_hits == 1
 

@@ -57,13 +57,6 @@ class TestInMemory:
         assert not cache.put(_outcome("", status="SAT"))  # no key
         assert len(cache) == 0
 
-    def test_explicit_key_alias(self):
-        cache = ShardedResultCache(directory=None, shards=4)
-        outcome = _outcome("reduced-fp")
-        cache.put(outcome)
-        cache.put(outcome, key="original-fp")
-        assert cache.get("original-fp").fingerprint == "reduced-fp"
-
     def test_stats_and_shard_sizes(self):
         cache = ShardedResultCache(directory=None, shards=4)
         for i in range(10):
@@ -150,6 +143,50 @@ class TestPersistence:
         assert reopened.get("fp-good") is not None
         assert reopened.get("fp-after") is None
         assert reopened.torn_records == 2
+
+    def test_stale_preprocessed_records_skipped(self, tmp_path):
+        # Earlier releases keyed preprocessed verdicts on the reduced
+        # formula and marked them with a non-null ``solved_assumptions``.
+        # Replay and compaction skip such records without calling them
+        # torn: the records around them are still served.
+        directory = str(tmp_path / "cache")
+        os.makedirs(directory)
+        poisoned = _outcome("reduced-fp", assignment=(2,)).to_dict()
+        poisoned["solved_assumptions"] = []
+        atomic_write_json(
+            os.path.join(directory, "shard-000.json"),
+            {
+                "version": 2,
+                "entries": [
+                    {"key": "fp-snap", "outcome": _outcome("fp-snap").to_dict()},
+                    {"key": "original-fp", "outcome": poisoned},
+                ],
+            },
+        )
+        with open(
+            os.path.join(directory, "shard-000.wal"), "w", encoding="utf-8"
+        ) as handle:
+            for key, outcome in (
+                ("fp-before", _outcome("fp-before").to_dict()),
+                ("reduced-fp", poisoned),
+                ("fp-after", _outcome("fp-after").to_dict()),
+            ):
+                handle.write(json.dumps({"key": key, "outcome": outcome}) + "\n")
+        reopened = ShardedResultCache(directory=directory, shards=1)
+        assert reopened.torn_records == 0
+        assert reopened.replayed_records == 2
+        for key in ("fp-snap", "fp-before", "fp-after"):
+            assert reopened.get(key) is not None
+        for key in ("reduced-fp", "original-fp"):
+            assert reopened.get(key) is None
+        assert reopened.compact() == 3
+        with open(os.path.join(directory, "shard-000.json"), encoding="utf-8") as f:
+            snapshot = json.load(f)
+        assert sorted(entry["key"] for entry in snapshot["entries"]) == [
+            "fp-after",
+            "fp-before",
+            "fp-snap",
+        ]
 
     def test_auto_compaction_at_threshold(self, tmp_path):
         directory = str(tmp_path / "cache")

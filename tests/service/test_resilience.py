@@ -110,8 +110,8 @@ class TestGracefulDegradation:
         assert service.stats.failures == 0  # degraded, not failed
 
     def test_persist_failure_metric_counts_every_failed_put(self, tmp_path):
-        # A preprocessed verdict is stored twice (reduced key plus the
-        # original-key alias), so one request can fail two persists.
+        # A preprocessed verdict is stored once, under the request's own
+        # key, so one failing request counts exactly one persist failure.
         faults.install_plan(
             FaultPlan([dict(point="shards.wal.append", kind="error", times=0)])
         )
@@ -138,7 +138,7 @@ class TestGracefulDegradation:
             telemetry.disable_metrics()
             executor.shutdown()
         assert response["code"] == OK
-        assert service.stats.persist_failures == 2
+        assert service.stats.persist_failures == 1
         failures = registry.get("repro_service_persist_failures_total")
         assert failures.value == service.stats.persist_failures
         assert registry.get("repro_service_degraded").value == 1.0

@@ -9,8 +9,10 @@ import threading
 
 import pytest
 
+from repro.cnf.dimacs import to_dimacs
 from repro.exceptions import RuntimeSubsystemError
 from repro.runtime.jobs import SolveOutcome
+from repro.runtime.pool import WorkerPool
 from repro.runtime.shards import ShardedResultCache
 from repro.service import ServiceConfig, SolveService
 from repro.service.protocol import BAD_REQUEST, FAILED, OK, REJECTED
@@ -246,6 +248,33 @@ class TestCacheFront:
         plain, assumed = asyncio.run(run())
         assert len(executor.submitted) == 2  # different cache keys
         assert not assumed["from_cache"]
+
+    def test_preprocessed_verdict_never_answers_its_reduced_core(
+        self, shared_core_pair
+    ):
+        # ``shifted`` preprocesses to exactly ``core``. Its verdict must be
+        # stored under its own key only: a later plain request for
+        # ``core`` has to be solved, not served ``shifted``'s model.
+        core, shifted = shared_core_pair
+        executor = WorkerPool(workers=1).executor(inline=False)
+        service = _service(executor=executor, solver="cdcl")
+
+        async def run():
+            first = await service.handle_line(
+                _solve_line("f1", to_dimacs(shifted), preprocess=True)
+            )
+            second = await service.handle_line(_solve_line("c", to_dimacs(core)))
+            return first, second
+
+        try:
+            responses = asyncio.run(run())
+        finally:
+            executor.shutdown()
+        for formula, response in zip((shifted, core), responses):
+            assert response["code"] == OK and response["status"] == "SAT"
+            model = response["result"]["assignment"]
+            assert all(abs(lit) <= formula.num_variables for lit in model)
+            assert formula.evaluate({abs(lit): lit > 0 for lit in model})
 
 
 class TestBackpressure:
