@@ -23,12 +23,6 @@ from repro.cnf.evaluate import (
     enumerate_models,
     satisfying_minterm_mask,
 )
-from repro.cnf.simplify import (
-    unit_propagate,
-    pure_literal_eliminate,
-    simplify_formula,
-    SimplificationResult,
-)
 from repro.cnf.generators import (
     random_ksat,
     planted_ksat,
@@ -65,10 +59,6 @@ __all__ = [
     "count_models",
     "enumerate_models",
     "satisfying_minterm_mask",
-    "unit_propagate",
-    "pure_literal_eliminate",
-    "simplify_formula",
-    "SimplificationResult",
     "random_ksat",
     "planted_ksat",
     "phase_transition_family",

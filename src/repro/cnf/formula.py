@@ -162,10 +162,6 @@ class CNFFormula:
         """Evaluate the formula under a complete assignment."""
         return all(clause.evaluate(assignment) for clause in self._clauses)
 
-    def is_satisfied_by(self, assignment: Mapping[int, bool]) -> bool:
-        """Alias of :meth:`evaluate` matching solver terminology."""
-        return self.evaluate(assignment)
-
     def unsatisfied_clauses(self, assignment: Mapping[int, bool]) -> list[Clause]:
         """Clauses falsified by a complete assignment (for local search)."""
         return [c for c in self._clauses if not c.evaluate(assignment)]

@@ -125,11 +125,6 @@ class SampledNBLEngine:
         return self._config
 
     @property
-    def noise_bank(self) -> NoiseBank:
-        """The bank of 2·m·n basis noise sources."""
-        return self._bank
-
-    @property
     def minterm_signal(self) -> float:
         """Analytic contribution of one satisfying minterm to the mean of S_N.
 

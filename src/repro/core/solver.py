@@ -16,7 +16,7 @@ construction, Algorithm 1 and Algorithm 2 behind a two-method API:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.cnf.formula import CNFFormula
 from repro.core.assignment import (
@@ -90,50 +90,6 @@ class NBLSATSolver:
         engine = make_engine(formula, self._engine_name, self._config)
         finder = find_satisfying_cube if cube else find_satisfying_assignment
         return finder(engine)
-
-    def solve_batch(
-        self,
-        formulas: Iterable[CNFFormula],
-        workers: int = 1,
-        master_seed: int = 0,
-        timeout: Optional[float] = None,
-    ):
-        """Solve many formulas through the :mod:`repro.runtime` subsystem.
-
-        ``timeout`` only takes effect with ``workers > 1``, where the pool
-        abandons a job that overruns the budget plus a grace window; the
-        NBL engines themselves have no cooperative wall-clock checkpoints
-        (cap the sampled engine via the config's ``max_samples`` instead).
-
-        Convenience bridge from the single-instance facade to the batch
-        layer: each formula becomes one job with this solver's engine,
-        carrier family and sample budget, executed across ``workers``
-        processes. Per-job seeds are derived deterministically from
-        ``master_seed`` (the config's own seed is not reused — sharing one
-        noise stream across jobs would correlate their verdicts).
-
-        Returns
-        -------
-        list[repro.runtime.SolveOutcome]
-            One outcome per formula, in input order.
-        """
-        # Imported lazily: repro.runtime builds on this module.
-        from repro.runtime import SolveJob, WorkerPool
-
-        jobs = [
-            SolveJob(
-                formula=formula,
-                label=f"formula-{index}",
-                solver=f"nbl-{self._engine_name}",
-                timeout=timeout,
-                # The full config (carrier parameters, convergence policy,
-                # thresholds) rides along; only its seed is re-derived
-                # per job.
-                nbl_config=self._config,
-            )
-            for index, formula in enumerate(formulas)
-        ]
-        return WorkerPool(workers=workers, master_seed=master_seed).run(jobs)
 
     def __repr__(self) -> str:
         return f"NBLSATSolver(engine={self._engine_name!r})"

@@ -65,11 +65,6 @@ class SymbolicNBLEngine:
         exponent = self._formula.num_variables * max(self._formula.num_clauses, 1)
         return float(self._carrier.power**exponent)
 
-    @property
-    def satisfying_set(self) -> MintermSet:
-        """The exact set of satisfying minterms of the formula."""
-        return self._models
-
     # -- operations --------------------------------------------------------------
     def model_count(self, bindings: Optional[Mapping[int, bool]] = None) -> int:
         """Number of satisfying minterms inside the (bound) reference hyperspace."""

@@ -36,10 +36,6 @@ class EngineError(ReproError):
     """Raised when an NBL-SAT engine is used inconsistently."""
 
 
-class ConvergenceError(EngineError):
-    """Raised when a sampled check fails to reach its convergence target."""
-
-
 class SolverError(ReproError):
     """Raised by the baseline SAT solvers for invalid inputs or states."""
 

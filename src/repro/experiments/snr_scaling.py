@@ -7,7 +7,6 @@ from typing import Sequence
 from repro.analysis.snr_empirical import measure_empirical_snr
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import planted_ksat
-from repro.cnf.structured import pigeonhole_formula
 from repro.core.config import NBLConfig
 from repro.core.snr import SNRParameters, samples_for_target_snr, snr_paper_model, snr_sqrt_model
 from repro.experiments.recording import ExperimentRecord
@@ -99,15 +98,3 @@ def run_snr_scaling(
         "SNR may exceed the K=1 analytic curves."
     )
     return record
-
-
-def pigeonhole_snr_note(pigeons: int = 3, holes: int = 2) -> str:
-    """Helper used in documentation: sample cost of a tiny structured instance."""
-    formula = pigeonhole_formula(pigeons, holes)
-    params = SNRParameters.from_formula(formula)
-    budget = samples_for_target_snr(params, 1.0, model="sqrt")
-    return (
-        f"PHP({pigeons},{holes}) has n={formula.num_variables}, "
-        f"m={formula.num_clauses}; the corrected model already needs "
-        f"~{budget:,} samples per check."
-    )

@@ -45,7 +45,6 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Dict, Iterable, Iterator, Optional, Set
 
-from repro.cnf.clause import Clause
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import PreprocessError
 
@@ -150,13 +149,6 @@ class ClauseDatabase:
     def has_empty_clause(self) -> bool:
         """``True`` when an alive clause is empty (the database is UNSAT)."""
         return any(not literals for literals in self.iter_clauses())
-
-    def to_formula(self, num_variables: int) -> CNFFormula:
-        """The alive clauses as an immutable formula over ``num_variables``."""
-        return CNFFormula(
-            [Clause.from_ints(sorted(lits, key=abs)) for lits in self.iter_clauses()],
-            num_variables,
-        )
 
     # -- mutations -----------------------------------------------------------
     def add(self, literals: Iterable[int]) -> Optional[int]:

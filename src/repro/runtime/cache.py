@@ -241,11 +241,6 @@ class ResultCache:
                 max_size=self._max_size,
             )
 
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction counters (entries are kept)."""
-        with self._lock:
-            self._hits = self._misses = self._evictions = 0
-
     # -- persistence ----------------------------------------------------------
     def save(self, path: PathLike) -> int:
         """Write the cache contents to ``path`` as JSON; returns entry count.

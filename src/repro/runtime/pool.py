@@ -56,6 +56,19 @@ def _assignment_ints(assignment: Optional[Assignment]) -> Optional[tuple[int, ..
     return tuple(v if value else -v for v, value in assignment.items())
 
 
+def _outcome(job: SolveJob, status: str, **fields) -> SolveOutcome:
+    """An outcome of ``status`` carrying ``job``'s identity and ``fields``."""
+    return SolveOutcome(
+        job_id=job.job_id,
+        status=status,
+        solver=job.solver,
+        label=job.label,
+        fingerprint=job.fingerprint,
+        assumptions=job.assumptions,
+        **fields,
+    )
+
+
 def execute_job(job: SolveJob, master_seed: int = 0) -> SolveOutcome:
     """Run one job to completion and return its outcome.
 
@@ -88,17 +101,9 @@ def execute_job(job: SolveJob, master_seed: int = 0) -> SolveOutcome:
             if job.preprocess:
                 outcome = _execute_preprocessed(job, seed)
             else:
-                outcome = _execute_direct(job, seed)
+                outcome = _execute_direct(job, seed, job)
         except Exception as exc:  # noqa: BLE001 — batch isolation boundary
-            outcome = SolveOutcome(
-                job_id=job.job_id,
-                status=ERROR,
-                solver=job.solver,
-                label=job.label,
-                fingerprint=job.fingerprint,
-                assumptions=job.assumptions,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            outcome = _outcome(job, ERROR, error=f"{type(exc).__name__}: {exc}")
         outcome.elapsed_seconds = time.perf_counter() - started
         if task_span.recording:
             task_span.set(
@@ -112,25 +117,22 @@ def execute_job(job: SolveJob, master_seed: int = 0) -> SolveOutcome:
     return outcome
 
 
-def _execute_direct(job: SolveJob, seed: int) -> SolveOutcome:
+def _execute_direct(job: SolveJob, seed: int, identity: SolveJob) -> SolveOutcome:
+    """Solve ``job`` and report the outcome under ``identity``.
+
+    ``identity`` is ``job`` itself, or the parent of a preprocessed job's
+    residual, so the residual's own formula is never fingerprinted.
+    """
     refusal = refusal_reason(job.solver, job.formula)
     if refusal is not None:
         # Exponential-cost solvers would hang far past any timeout; fail
         # the job fast instead (the portfolio skips them the same way).
-        return SolveOutcome(
-            job_id=job.job_id,
-            status=ERROR,
-            solver=job.solver,
-            label=job.label,
-            fingerprint=job.fingerprint,
-            assumptions=job.assumptions,
-            error=f"{job.solver} refused: {refusal}",
-        )
+        return _outcome(identity, ERROR, error=f"{job.solver} refused: {refusal}")
     if job.solver == PORTFOLIO_SPEC:
-        return _execute_portfolio(job, seed)
+        return _execute_portfolio(job, seed, identity)
     if job.solver in NBL_SPECS:
-        return _execute_nbl(job, seed)
-    return _execute_classical(job, seed)
+        return _execute_nbl(job, seed, identity)
+    return _execute_classical(job, seed, identity)
 
 
 def _assumption_values(assumptions: tuple[int, ...]) -> Optional[dict[int, bool]]:
@@ -179,36 +181,31 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
             deadline=deadline,
             proof=log,
         )
-        identity = dict(
-            job_id=job.job_id,
-            solver=job.solver,
-            label=job.label,
-            fingerprint=job.fingerprint,
-            assumptions=job.assumptions,
-            proof=job.proof or "",
-        )
+        proof = job.proof or ""
         values = _assumption_values(job.assumptions)
         if values is None:
             # x and ~x assumed at once: unsatisfiable whatever the formula
             # says — there is no refutation of the formula to record.
             if log is not None:
                 log.mark_incomplete("contradictory assumptions; no derivation")
-            return SolveOutcome(
-                status="UNSAT",
+            return _outcome(
+                job,
+                "UNSAT",
                 winner="preprocess",
                 verified=True,
                 core=_contradictory_core(job.assumptions),
-                **identity,
+                proof=proof,
             )
         if reduction.status == "UNSAT":
             # The pipeline refuted the formula itself (assumption variables
             # are frozen, never assumed), so the core is empty.
-            return SolveOutcome(
-                status="UNSAT",
+            return _outcome(
+                job,
+                "UNSAT",
                 winner="preprocess",
                 verified=True,
                 core=() if job.assumptions else None,
-                **identity,
+                proof=proof,
             )
         if reduction.status == "SAT":
             reduced_model = {
@@ -216,17 +213,18 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
             }
             assignment = reduction.reconstruct(reduced_model)
             verified = job.formula.evaluate(assignment.as_dict())
-            return SolveOutcome(
-                status="SAT",
+            return _outcome(
+                job,
+                "SAT",
                 winner="preprocess",
                 assignment=_assignment_ints(assignment),
                 verified=verified,
-                **identity,
+                proof=proof,
             )
         refusal = refusal_reason(job.solver, reduction.formula)
         if refusal is not None:
-            return SolveOutcome(
-                status=ERROR, error=f"{job.solver} refused: {refusal}", **identity
+            return _outcome(
+                job, ERROR, error=f"{job.solver} refused: {refusal}", proof=proof
             )
         reduced_job = SolveJob(
             formula=reduction.formula,
@@ -245,24 +243,23 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
             # Proof-bearing jobs are always classical (validated at job
             # construction), so dispatch there directly with the
             # renaming view over the shared log.
-            solved = _execute_classical(
-                reduced_job, seed, proof_log=log.translated(inverse)
+            outcome = _execute_classical(
+                reduced_job, seed, job, proof_log=log.translated(inverse)
             )
         else:
-            solved = _execute_direct(reduced_job, seed)
+            outcome = _execute_direct(reduced_job, seed, job)
     finally:
         if owns_log and log is not None:
             log.close()
-    outcome = solved.copy(**identity)
-    if solved.core is not None:
+    if outcome.core is not None:
         # The residual session reported the core in the reduced numbering;
         # assumption variables are frozen, so the inverse map covers them.
         outcome.core = tuple(
-            (1 if lit > 0 else -1) * inverse[abs(lit)] for lit in solved.core
+            (1 if lit > 0 else -1) * inverse[abs(lit)] for lit in outcome.core
         )
-    if solved.status == "SAT" and solved.assignment is not None:
+    if outcome.status == "SAT" and outcome.assignment is not None:
         assignment = reduction.reconstruct(
-            {abs(lit): lit > 0 for lit in solved.assignment}
+            {abs(lit): lit > 0 for lit in outcome.assignment}
         )
         model = assignment.as_dict()
         outcome.assignment = _assignment_ints(assignment)
@@ -272,18 +269,14 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
     return outcome
 
 
-def _execute_portfolio(job: SolveJob, seed: int) -> SolveOutcome:
+def _execute_portfolio(job: SolveJob, seed: int, identity: SolveJob) -> SolveOutcome:
     portfolio = PortfolioSolver(samples=job.samples, carrier=job.carrier)
     result = portfolio.solve(
         job.formula, seed=seed, timeout=job.timeout, assumptions=job.assumptions
     )
-    return SolveOutcome(
-        job_id=job.job_id,
-        status=result.status,
-        solver=job.solver,
-        label=job.label,
-        fingerprint=job.fingerprint,
-        assumptions=job.assumptions,
+    return _outcome(
+        identity,
+        result.status,
         winner=result.winner,
         assignment=_assignment_ints(result.assignment),
         verified=result.verified,
@@ -294,7 +287,7 @@ def _execute_portfolio(job: SolveJob, seed: int) -> SolveOutcome:
     )
 
 
-def _execute_nbl(job: SolveJob, seed: int) -> SolveOutcome:
+def _execute_nbl(job: SolveJob, seed: int, identity: SolveJob) -> SolveOutcome:
     formula = (
         job.formula.with_assumptions(job.assumptions)
         if job.assumptions
@@ -303,13 +296,9 @@ def _execute_nbl(job: SolveJob, seed: int) -> SolveOutcome:
     status, verified, assignment, samples_used = solve_with_nbl(
         job.solver, formula, job.samples, job.carrier, seed, job.nbl_config
     )
-    return SolveOutcome(
-        job_id=job.job_id,
-        status=status,
-        solver=job.solver,
-        label=job.label,
-        fingerprint=job.fingerprint,
-        assumptions=job.assumptions,
+    return _outcome(
+        identity,
+        status,
         winner=job.solver,
         assignment=_assignment_ints(assignment),
         verified=verified,
@@ -318,7 +307,7 @@ def _execute_nbl(job: SolveJob, seed: int) -> SolveOutcome:
 
 
 def _execute_classical(
-    job: SolveJob, seed: int, proof_log=None
+    job: SolveJob, seed: int, identity: SolveJob, proof_log=None
 ) -> SolveOutcome:
     kwargs = {"seed": seed} if job.solver in SEEDED_SOLVERS else {}
     solver = make_solver(job.solver, **kwargs)
@@ -343,30 +332,22 @@ def _execute_classical(
         if owns_log and log is not None:
             log.close()
     verified = result.is_sat or (result.is_unsat and solver.complete)
-    return SolveOutcome(
-        job_id=job.job_id,
-        status=result.status,
-        solver=job.solver,
-        label=job.label,
-        fingerprint=job.fingerprint,
-        assumptions=job.assumptions,
+    return _outcome(
+        identity,
+        result.status,
         winner=job.solver,
         assignment=_assignment_ints(result.assignment),
         verified=verified,
         timed_out=result.timed_out,
         core=core,
-        proof=job.proof or "",
+        proof=identity.proof or "",
     )
 
 
 def _timeout_outcome(job: SolveJob) -> SolveOutcome:
-    return SolveOutcome(
-        job_id=job.job_id,
-        status="UNKNOWN",
-        solver=job.solver,
-        label=job.label,
-        fingerprint=job.fingerprint,
-        assumptions=job.assumptions,
+    return _outcome(
+        job,
+        "UNKNOWN",
         timed_out=True,
         elapsed_seconds=job.timeout or 0.0,
         # The grace window also absorbs queue-wait time, so this can mean
@@ -377,15 +358,7 @@ def _timeout_outcome(job: SolveJob) -> SolveOutcome:
 
 
 def _infrastructure_outcome(job: SolveJob, exc: BaseException) -> SolveOutcome:
-    return SolveOutcome(
-        job_id=job.job_id,
-        status=ERROR,
-        solver=job.solver,
-        label=job.label,
-        fingerprint=job.fingerprint,
-        assumptions=job.assumptions,
-        error=f"worker process died: {exc}",
-    )
+    return _outcome(job, ERROR, error=f"worker process died: {exc}")
 
 
 class JobExecutor:

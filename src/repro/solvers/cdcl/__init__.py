@@ -1,17 +1,14 @@
-"""CDCL solver package: arena kernel, public solver, frozen legacy oracle.
+"""CDCL solver package: arena kernel and public solver.
 
-Split into three modules so each can evolve (or, for the legacy oracle,
-deliberately *not* evolve) independently:
+Split into two modules so the search engine and its API evolve
+independently:
 
 * :mod:`repro.solvers.cdcl.kernel` — the flat-arena search engine
   (:class:`ArenaKernel`, :func:`luby`),
-* :mod:`repro.solvers.cdcl.solver` — the public :class:`CDCLSolver` API,
-* :mod:`repro.solvers.cdcl.legacy` — the frozen pre-rewrite
-  :class:`LegacyCDCLSolver` used as a differential-testing reference.
+* :mod:`repro.solvers.cdcl.solver` — the public :class:`CDCLSolver` API.
 """
 
 from repro.solvers.cdcl.kernel import ArenaKernel, luby
-from repro.solvers.cdcl.legacy import LegacyCDCLSolver
 from repro.solvers.cdcl.solver import CDCLSolver
 
-__all__ = ["ArenaKernel", "CDCLSolver", "LegacyCDCLSolver", "luby"]
+__all__ = ["ArenaKernel", "CDCLSolver", "luby"]

@@ -709,12 +709,6 @@ class ArenaKernel:
             self.head = boundary
 
     # -- branching -----------------------------------------------------------
-    def _bump_var(self, v: int) -> None:
-        act = self.activity[v] + self.var_inc
-        self.activity[v] = act
-        if act > 1e100:
-            self._rescale_var_activity()
-
     def _rescale_var_activity(self) -> None:
         scale = 1e-100
         activity = self.activity

@@ -80,10 +80,9 @@ class CDCLSolver(SATSolver):
         Per-conflict VSIDS decay (0 < decay < 1; higher = longer memory).
         Implemented by scaling the bump increment, not by touching every
         activity.
-    restart_base / restart_factor:
+    restart_base:
         The ``k``-th restart fires after ``restart_base * luby(k)``
-        conflicts. ``restart_factor`` is accepted for backward
-        compatibility with the geometric policy's signature and ignored.
+        conflicts.
     max_conflicts:
         Hard cap on total conflicts per solve call; exceeding it raises
         :class:`SolverError` (defensive — the search is complete).
@@ -106,7 +105,6 @@ class CDCLSolver(SATSolver):
         self,
         vsids_decay: float = 0.95,
         restart_base: int = 200,
-        restart_factor: float = 1.5,
         max_conflicts: int = 5_000_000,
         reduce_interval: int = 2000,
         keep_lbd: int = 2,
@@ -115,8 +113,8 @@ class CDCLSolver(SATSolver):
     ) -> None:
         if not 0.0 < vsids_decay < 1.0:
             raise SolverError("vsids_decay must lie in (0, 1)")
-        if restart_base <= 0 or restart_factor < 1.0:
-            raise SolverError("invalid restart policy parameters")
+        if restart_base <= 0:
+            raise SolverError("restart_base must be positive")
         if max_conflicts <= 0:
             raise SolverError("max_conflicts must be positive")
         if reduce_interval < 0 or inprocess_interval < 0 or inprocess_budget < 0:
@@ -125,7 +123,6 @@ class CDCLSolver(SATSolver):
             raise SolverError("keep_lbd must be non-negative")
         self._decay = vsids_decay
         self._restart_base = restart_base
-        self._restart_factor = restart_factor
         self._max_conflicts = max_conflicts
         self._reduce_interval = reduce_interval
         self._keep_lbd = keep_lbd
@@ -343,7 +340,6 @@ class CDCLSolver(SATSolver):
         clone = CDCLSolver(
             vsids_decay=self._decay,
             restart_base=self._restart_base,
-            restart_factor=self._restart_factor,
             max_conflicts=self._max_conflicts,
             reduce_interval=self._reduce_interval,
             keep_lbd=self._keep_lbd,

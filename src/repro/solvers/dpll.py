@@ -6,18 +6,102 @@ approach" the paper contrasts NBL-SAT against (one candidate assignment at a
 time, backtracking on conflicts), and it is also the CPU-side solver of the
 hybrid engine (:mod:`repro.hybrid`), whose NBL coprocessor supplies the
 branching heuristic.
+
+The two simplification steps the search runs at every node,
+:func:`unit_propagate` and :func:`pure_literal_eliminate`, live here too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
-from repro.cnf.simplify import pure_literal_eliminate, unit_propagate
+from repro.cnf.literal import Literal
 from repro.exceptions import SolverError
 from repro.solvers.base import SAT, UNSAT, SATSolver, SolverResult, SolverStats
 from repro.telemetry import instrument as _telemetry
+
+
+@dataclass
+class SimplificationResult:
+    """Outcome of a simplification pass.
+
+    Attributes
+    ----------
+    formula:
+        The simplified formula (same variable numbering as the input).
+    forced:
+        Variable bindings implied by the simplification (unit clauses and
+        pure literals).
+    conflict:
+        ``True`` when simplification derived the empty clause, i.e. the input
+        (under the already-forced bindings) is unsatisfiable.
+    """
+
+    formula: CNFFormula
+    forced: Dict[int, bool] = field(default_factory=dict)
+    conflict: bool = False
+
+
+def unit_propagate(
+    formula: CNFFormula, assignment: Optional[Dict[int, bool]] = None
+) -> SimplificationResult:
+    """Repeatedly assign the literal of every unit clause.
+
+    Parameters
+    ----------
+    formula:
+        The formula to propagate over.
+    assignment:
+        Optional pre-existing bindings to start from (not mutated).
+
+    Returns
+    -------
+    SimplificationResult
+        The residual formula, the accumulated forced bindings (including the
+        ones passed in) and a conflict flag.
+    """
+    forced: Dict[int, bool] = dict(assignment or {})
+    current = formula
+    for variable, value in list(forced.items()):
+        current = current.condition(variable, value)
+
+    while True:
+        if current.has_empty_clause():
+            return SimplificationResult(current, forced, conflict=True)
+        unit_literal: Optional[Literal] = None
+        for clause in current:
+            if clause.is_unit:
+                unit_literal = clause.literals[0]
+                break
+        if unit_literal is None:
+            return SimplificationResult(current, forced, conflict=False)
+        forced[unit_literal.variable] = unit_literal.positive
+        current = current.condition(unit_literal.variable, unit_literal.positive)
+
+
+def pure_literal_eliminate(formula: CNFFormula) -> SimplificationResult:
+    """Bind every variable that appears with a single polarity.
+
+    A *pure* literal can always be set true without losing satisfiability, so
+    every clause containing it is removed.
+    """
+    polarity_seen: Dict[int, set[bool]] = {}
+    for clause in formula:
+        for lit in clause:
+            polarity_seen.setdefault(lit.variable, set()).add(lit.positive)
+
+    forced: Dict[int, bool] = {
+        var: next(iter(pols)) for var, pols in polarity_seen.items() if len(pols) == 1
+    }
+    current = formula
+    for variable, value in forced.items():
+        current = current.condition(variable, value)
+    conflict = current.has_empty_clause()
+    return SimplificationResult(current, forced, conflict)
+
 
 #: A branching heuristic maps (residual formula, current bindings) to a
 #: (variable, first_value) decision, or ``None`` to fall back to the default.

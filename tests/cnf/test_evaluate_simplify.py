@@ -1,4 +1,4 @@
-"""Tests for repro.cnf.evaluate and repro.cnf.simplify."""
+"""Tests for repro.cnf.evaluate."""
 
 from __future__ import annotations
 
@@ -14,11 +14,6 @@ from repro.cnf.evaluate import (
 )
 from repro.cnf.formula import CNFFormula
 from repro.cnf.paper_instances import section4_sat_instance, section4_unsat_instance
-from repro.cnf.simplify import (
-    pure_literal_eliminate,
-    simplify_formula,
-    unit_propagate,
-)
 from repro.exceptions import CNFError
 
 
@@ -62,62 +57,3 @@ class TestEvaluate:
         formula = CNFFormula.from_ints([[1, 2, 3], [-1, -2], [2, -3]])
         for model in enumerate_models(formula):
             assert formula.evaluate(model.as_dict())
-
-
-class TestUnitPropagation:
-    def test_propagates_chain(self):
-        formula = CNFFormula.from_ints([[1], [-1, 2], [-2, 3]])
-        result = unit_propagate(formula)
-        assert result.forced == {1: True, 2: True, 3: True}
-        assert not result.conflict
-        assert result.formula.num_clauses == 0
-
-    def test_detects_conflict(self):
-        formula = CNFFormula.from_ints([[1], [-1]])
-        assert unit_propagate(formula).conflict
-
-    def test_respects_initial_assignment(self):
-        formula = CNFFormula.from_ints([[1, 2]])
-        result = unit_propagate(formula, {1: False})
-        assert result.forced[2] is True
-
-    def test_no_units_is_noop(self):
-        formula = CNFFormula.from_ints([[1, 2], [-1, -2]])
-        result = unit_propagate(formula)
-        assert result.forced == {}
-        assert result.formula == formula
-
-
-class TestPureLiterals:
-    def test_pure_literal_bound(self):
-        formula = CNFFormula.from_ints([[1, 2], [1, -2]])
-        result = pure_literal_eliminate(formula)
-        assert result.forced[1] is True
-        assert result.formula.num_clauses == 0
-
-    def test_mixed_polarity_not_bound(self):
-        formula = CNFFormula.from_ints([[1, 2], [-1, -2]])
-        result = pure_literal_eliminate(formula)
-        assert result.forced == {}
-
-
-class TestSimplify:
-    def test_satisfiability_preserved(self):
-        formula = CNFFormula.from_ints([[1], [-1, 2], [3, 4], [-3, 4]])
-        result = simplify_formula(formula)
-        assert not result.conflict
-        # The forced bindings must be extendable to a model of the original.
-        partial = dict(result.forced)
-        for variable in range(1, formula.num_variables + 1):
-            partial.setdefault(variable, True)
-        residual_ok = result.formula.num_clauses == 0
-        assert residual_ok or formula.evaluate(partial) or count_models(result.formula) > 0
-
-    def test_conflict_reported(self):
-        formula = CNFFormula.from_ints([[1], [-1]])
-        assert simplify_formula(formula).conflict
-
-    def test_tautologies_removed(self):
-        formula = CNFFormula.from_ints([[1, -1], [2, 3]])
-        result = simplify_formula(formula)
-        assert not result.conflict

@@ -1,17 +1,16 @@
-"""Differential fuzzing of the flat-arena CDCL kernel against its oracles.
+"""Differential fuzzing of the flat-arena CDCL kernel: arena vs brute force,
+models checked, DRAT proofs checked.
 
-The arena kernel rewrite (:mod:`repro.solvers.cdcl.kernel`) replaced the
-per-clause-object kernel wholesale; :class:`LegacyCDCLSolver` is a frozen
-copy of the pre-rewrite implementation kept as a differential oracle. A
-seeded corpus of random 3-SAT (several clause/variable ratios) plus
-structured pigeonhole / coloring / parity instances is solved three ways
-— arena kernel, legacy kernel, brute-force enumeration — and checked:
+A seeded corpus of random 3-SAT (several clause/variable ratios) plus
+structured pigeonhole / coloring / parity instances is solved by the arena
+kernel (:mod:`repro.solvers.cdcl.kernel`) and by brute-force enumeration,
+and checked:
 
-* all three verdicts agree on every formula (zero mismatches),
-* every SAT verdict (arena and legacy) ships a model that satisfies the
-  formula,
-* every arena UNSAT verdict ships a DRAT proof the in-repo RUP/RAT
-  checker accepts (zero rejected proofs),
+* the arena verdict matches brute force on every formula (zero
+  mismatches),
+* every SAT verdict ships a model that satisfies the formula,
+* every UNSAT verdict ships a DRAT proof the in-repo RUP/RAT checker
+  accepts (zero rejected proofs),
 * half the corpus runs the arena kernel with aggressive restart /
   DB-reduction / inprocessing knobs, so the proofs cover clause deletion,
   strengthening and compaction — not just the happy path.
@@ -39,7 +38,7 @@ from repro.cnf.structured import (
 )
 from repro.proofs import ProofLog, check_proof
 from repro.solvers.brute_force import BruteForceSolver
-from repro.solvers.cdcl import CDCLSolver, LegacyCDCLSolver
+from repro.solvers.cdcl import CDCLSolver
 
 #: Clause/variable ratios: under, at and over the phase transition, plus a
 #: dense band that is almost surely UNSAT (to exercise proof emission).
@@ -84,17 +83,9 @@ def _aggressive_solver() -> CDCLSolver:
     )
 
 
-def _assert_satisfies(label: str, who: str, result, formula) -> None:
-    assert result.assignment is not None, f"{label}: {who} SAT without model"
-    assert formula.evaluate(result.assignment.as_dict()), (
-        f"{label}: {who} returned a non-satisfying assignment"
-    )
-
-
 def _run_kernel_differential(corpus) -> tuple[int, int]:
     """Shared fuzz loop; returns (formulas checked, proofs checked)."""
     brute = BruteForceSolver()
-    legacy = LegacyCDCLSolver()
     proofs_checked = 0
     for index, (label, formula) in enumerate(corpus):
         truth = brute.solve(formula)
@@ -103,19 +94,16 @@ def _run_kernel_differential(corpus) -> tuple[int, int]:
         arena = CDCLSolver() if index % 2 == 0 else _aggressive_solver()
         log = ProofLog()
         arena_result = arena.solve(formula, proof=log)
-        legacy_result = legacy.solve(formula)
 
         assert arena_result.status == truth.status, (
             f"{label}: arena kernel says {arena_result.status}, "
             f"brute force says {truth.status}"
         )
-        assert legacy_result.status == truth.status, (
-            f"{label}: legacy kernel says {legacy_result.status}, "
-            f"brute force says {truth.status}"
-        )
         if arena_result.is_sat:
-            _assert_satisfies(label, "arena", arena_result, formula)
-            _assert_satisfies(label, "legacy", legacy_result, formula)
+            assert arena_result.assignment is not None, f"{label}: SAT without model"
+            assert formula.evaluate(arena_result.assignment.as_dict()), (
+                f"{label}: arena returned a non-satisfying assignment"
+            )
         else:
             verdict = check_proof(formula, log.text())
             assert verdict, f"{label}: arena proof rejected: {verdict.reason}"

@@ -108,6 +108,28 @@ class TestExecuteJobPreprocess:
         assert outcome.status == "SAT"
         assert outcome.verified
 
+    def test_residual_solve_fingerprints_only_the_job_formula(self, monkeypatch):
+        # The residual's outcome carries the parent job's identity, so the
+        # reduced formula is never hashed: one computation per job.
+        fingerprinted = []
+        original = CNFFormula.fingerprint
+
+        def counting(self):
+            fingerprinted.append(self)
+            return original(self)
+
+        monkeypatch.setattr(CNFFormula, "fingerprint", counting)
+        job = SolveJob(
+            formula=random_ksat(60, 180, 3, seed=0),
+            job_id="residual",
+            solver="cdcl",
+            preprocess=True,
+        )
+        outcome = execute_job(job, 0)
+        assert (outcome.status, outcome.winner) == ("SAT", "cdcl")
+        assert outcome.fingerprint == job.formula.fingerprint()
+        assert len({id(formula) for formula in fingerprinted}) == 1
+
 
 class TestBatchRunnerPreprocess:
     def test_reordered_duplicate_served_from_cache(self):

@@ -18,7 +18,12 @@ from repro.exceptions import SolverError
 from repro.solvers.base import SAT, UNKNOWN, UNSAT
 from repro.solvers.brute_force import BruteForceSolver
 from repro.solvers.cdcl import CDCLSolver
-from repro.solvers.dpll import DPLLSolver, most_frequent_variable
+from repro.solvers.dpll import (
+    DPLLSolver,
+    most_frequent_variable,
+    pure_literal_eliminate,
+    unit_propagate,
+)
 from repro.solvers.gsat import GSATSolver
 from repro.solvers.registry import available_solvers, make_solver
 from repro.solvers.walksat import WalkSATSolver
@@ -94,6 +99,43 @@ class TestDPLL:
     def test_invalid_configuration(self):
         with pytest.raises(SolverError):
             DPLLSolver(max_decisions=0)
+
+
+class TestUnitPropagation:
+    def test_propagates_chain(self):
+        formula = CNFFormula.from_ints([[1], [-1, 2], [-2, 3]])
+        result = unit_propagate(formula)
+        assert result.forced == {1: True, 2: True, 3: True}
+        assert not result.conflict
+        assert result.formula.num_clauses == 0
+
+    def test_detects_conflict(self):
+        formula = CNFFormula.from_ints([[1], [-1]])
+        assert unit_propagate(formula).conflict
+
+    def test_respects_initial_assignment(self):
+        formula = CNFFormula.from_ints([[1, 2]])
+        result = unit_propagate(formula, {1: False})
+        assert result.forced[2] is True
+
+    def test_no_units_is_noop(self):
+        formula = CNFFormula.from_ints([[1, 2], [-1, -2]])
+        result = unit_propagate(formula)
+        assert result.forced == {}
+        assert result.formula == formula
+
+
+class TestPureLiterals:
+    def test_pure_literal_bound(self):
+        formula = CNFFormula.from_ints([[1, 2], [1, -2]])
+        result = pure_literal_eliminate(formula)
+        assert result.forced[1] is True
+        assert result.formula.num_clauses == 0
+
+    def test_mixed_polarity_not_bound(self):
+        formula = CNFFormula.from_ints([[1, 2], [-1, -2]])
+        result = pure_literal_eliminate(formula)
+        assert result.forced == {}
 
 
 class TestCDCL:

@@ -2,7 +2,8 @@
 
 The docs suite (``docs/api.md``) is generated by hand from the package
 ``__all__`` lists; this test keeps it honest by failing whenever a public
-symbol (or a subsystem package itself) loses its docstring. The metric
+symbol (or a subsystem package itself) loses its docstring or its entry,
+and whenever an entry names a symbol that no longer exists. The metric
 catalogue and span table in ``docs/observability.md`` are checked against
 ``telemetry.METRICS`` and ``telemetry.SPAN_TAXONOMY``.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -132,3 +134,50 @@ def test_span_table_matches_taxonomy():
     }
     assert sorted(documented - declared) == [], "documented but not in taxonomy"
     assert sorted(declared - documented) == [], "in taxonomy but not documented"
+
+
+def _api_table_rows():
+    """``(modules, identifiers)`` per table row of ``docs/api.md``.
+
+    ``modules`` are the backticked ``repro.*`` names in the row's ``##``
+    heading; ``identifiers`` are the backticked names in its first cell,
+    with any call signature (``fill(rng, out)``) cut off.
+    """
+    text = (
+        pathlib.Path(__file__).resolve().parent.parent / "docs" / "api.md"
+    ).read_text(encoding="utf-8")
+    rows = []
+    for section in text.split("\n## ")[1:]:
+        heading, _, body = section.partition("\n")
+        modules = re.findall(r"`(repro[\w.]*)`", heading)
+        for line in body.splitlines():
+            if line.startswith("| ") and not line.startswith("| ---"):
+                first_cell = line.strip("|").split("|")[0]
+                names = [
+                    re.match(r"[\w.]+", ident).group()
+                    for ident in re.findall(r"`([^`]+)`", first_cell)
+                ]
+                if modules and names:
+                    rows.append((modules, names))
+    assert rows, "no symbol tables found in docs/api.md"
+    return rows
+
+
+def _resolves(module_name, dotted):
+    target = importlib.import_module(module_name)
+    for part in dotted.split("."):
+        if not hasattr(target, part):
+            return False
+        target = getattr(target, part)
+    return True
+
+
+def test_api_reference_rows_name_existing_symbols():
+    """Every symbol a ``docs/api.md`` table row names still exists."""
+    stale = [
+        f"{' / '.join(modules)}: {name}"
+        for modules, names in _api_table_rows()
+        for name in names
+        if not any(_resolves(module, name) for module in modules)
+    ]
+    assert not stale, f"docs/api.md names symbols that do not exist: {stale}"
