@@ -303,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=None,
-        help="per-query wall-clock budget in seconds (cooperative; ignored "
-        "by the NBL frontends)",
+        help="per-query wall-clock budget in seconds (cooperative; the NBL "
+        "engines check it only before they start)",
     )
     incremental.add_argument(
         "--models",
@@ -321,9 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--proof",
         default=None,
         metavar="FILE",
-        help="record the session's DRAT derivations to FILE (sessions over "
-        "classical solvers only; UNSAT-under-assumption queries record a "
-        "partial derivation, see docs/proofs.md)",
+        help="record the session's DRAT derivations to FILE (not for "
+        "portfolio sessions; solvers that emit no derivations, such as the "
+        "NBL engines, mark the file 'c incomplete' on UNSAT; "
+        "UNSAT-under-assumption queries record a partial derivation, see "
+        "docs/proofs.md)",
     )
     incremental.add_argument("--seed", type=int, default=0, help="solver seed")
     add_telemetry(incremental)

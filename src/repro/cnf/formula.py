@@ -219,12 +219,6 @@ class CNFFormula:
                 survivors.append(Clause(remaining))
         return CNFFormula(survivors, self._num_variables)
 
-    def remove_tautologies(self) -> "CNFFormula":
-        """Drop clauses that contain complementary literals."""
-        return CNFFormula(
-            [c for c in self._clauses if not c.is_tautology()], self._num_variables
-        )
-
     def to_ints(self) -> list[list[int]]:
         """DIMACS integer encoding of all clauses."""
         return [clause.to_ints() for clause in self._clauses]

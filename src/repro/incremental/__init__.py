@@ -8,9 +8,8 @@ equivalence checks); this package keeps solver state alive between them:
 * :class:`CDCLSession` — native incremental CDCL (retained learned clauses
   and VSIDS activities, in-search assumption handling);
 * :class:`ResolveSession` — the generic re-solve fallback wrapping any
-  registered classical solver;
-* :class:`NBLSession` / :class:`PortfolioSession` — session frontends for
-  the NBL engines and the portfolio racer;
+  other registered solver, the NBL engines included;
+* :class:`PortfolioSession` — the session frontend of the portfolio racer;
 * :func:`make_session` — factory understanding every runtime solver spec.
 
 Quickstart (register-allocation k-sweep)::
@@ -25,11 +24,7 @@ Quickstart (register-allocation k-sweep)::
         result = session.solve(assumptions=blocked)   # warm solver state
 """
 
-from repro.incremental.frontends import (
-    NBLSession,
-    PortfolioSession,
-    make_session,
-)
+from repro.incremental.frontends import PortfolioSession, make_session
 from repro.incremental.session import (
     CDCLSession,
     IncrementalSession,
@@ -39,7 +34,6 @@ from repro.incremental.session import (
 __all__ = [
     "CDCLSession",
     "IncrementalSession",
-    "NBLSession",
     "PortfolioSession",
     "ResolveSession",
     "make_session",

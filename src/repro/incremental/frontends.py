@@ -1,66 +1,20 @@
-"""Session frontends for the NBL engines and the portfolio racer.
+"""The portfolio's session frontend, and the factory for every runtime spec.
 
-The classical solvers get sessions through
-:meth:`repro.solvers.base.SATSolver.make_session`; the two NBL engine specs
-and the portfolio are not :class:`SATSolver` subclasses, so they get
-dedicated re-solve frontends here. :func:`make_session` is the single
-factory that understands every solver spec of the runtime —
-``"cdcl"``-style registry names, ``"nbl-symbolic"``/``"nbl-sampled"`` and
-``"portfolio"`` — and hands back the right session type.
+Registry solvers (the NBL engines included) get their sessions through
+:meth:`repro.solvers.base.SATSolver.make_session`; the portfolio is the one
+runtime spec that is not a :class:`SATSolver`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 from repro.cnf.formula import CNFFormula
-from repro.core.config import NBLConfig
-from repro.core.solver import NBLSATSolver
 from repro.exceptions import SolverError
 from repro.incremental.session import IncrementalSession
-from repro.noise.base import carrier_from_name
-from repro.solvers.base import SAT, UNKNOWN, UNSAT, SolverResult, SolverStats
-from repro.solvers.registry import make_solver
-
-
-class NBLSession(IncrementalSession):
-    """Re-solve session over an :class:`~repro.core.solver.NBLSATSolver`.
-
-    Each query runs the NBL engine on the accumulated formula with the
-    assumptions appended as unit clauses. The symbolic engine is exact, so
-    its ``UNSAT`` stands; the sampled engine's UNSAT verdict is statistical
-    and is therefore reported as ``UNKNOWN``, matching the portfolio's
-    treatment of the same engine. ``timeout`` is ignored — the engines are
-    bounded by their sample budget / variable limit instead.
-    """
-
-    def __init__(
-        self,
-        solver: NBLSATSolver,
-        base_formula: Optional[CNFFormula] = None,
-        num_variables: int = 0,
-    ) -> None:
-        self._nbl = solver
-        self.solver_name = f"nbl-{solver.engine_name}"
-        super().__init__(base_formula=base_formula, num_variables=num_variables)
-
-    def _solve(
-        self, assumptions: tuple[int, ...], timeout: Optional[float]
-    ) -> SolverResult:
-        strengthened = self.formula().with_assumptions(assumptions)
-        started = time.perf_counter()
-        solution = self._nbl.solve(strengthened)
-        stats = SolverStats(
-            evaluations=solution.total_samples,
-            elapsed_seconds=time.perf_counter() - started,
-        )
-        if solution.satisfiable:
-            if solution.verified and solution.assignment is not None:
-                return SolverResult(SAT, solution.assignment, stats)
-            return SolverResult(UNKNOWN, None, stats)
-        status = UNSAT if self._nbl.engine_name == "symbolic" else UNKNOWN
-        return SolverResult(status, None, stats)
+from repro.runtime.jobs import NBL_SPECS, PORTFOLIO_SPEC
+from repro.runtime.portfolio import PortfolioSolver, make_spec_solver
+from repro.solvers.base import SolverResult, SolverStats
 
 
 class PortfolioSession(IncrementalSession):
@@ -82,10 +36,6 @@ class PortfolioSession(IncrementalSession):
         num_variables: int = 0,
         seed: Optional[int] = None,
     ) -> None:
-        # Imported here: repro.runtime already imports repro.incremental's
-        # sibling modules indirectly via the solver base class.
-        from repro.runtime.portfolio import PortfolioSolver
-
         self._portfolio = portfolio if portfolio is not None else PortfolioSolver()
         self._seed = seed
         self.last_result = None
@@ -121,16 +71,16 @@ def make_session(
     samples: int = 200_000,
     carrier: str = "uniform",
     preprocess=None,
-    **solver_kwargs,
 ) -> IncrementalSession:
     """Build an incremental session for any runtime solver spec.
 
     Parameters
     ----------
     solver:
-        ``"portfolio"``, ``"nbl-symbolic"``, ``"nbl-sampled"`` or any
-        registry solver name (``"cdcl"`` gets the native incremental
-        session, everything else the generic re-solve fallback).
+        ``"portfolio"`` or any registry solver name (``"cdcl"`` gets the
+        native incremental session, everything else — the NBL engines
+        ``"nbl-symbolic"``/``"nbl-sampled"`` included — the generic
+        re-solve fallback).
     base_formula / num_variables:
         Initial problem (see :class:`IncrementalSession`).
     seed:
@@ -141,52 +91,28 @@ def make_session(
     preprocess:
         ``True`` or a :class:`~repro.preprocess.Preprocessor` to run the
         inprocessing pipeline per query with the query's assumption
-        variables frozen. Registry solver specs only — the NBL and
-        portfolio frontends get preprocessing through the batch runtime
+        variables frozen. Not for the NBL and portfolio specs — they get
+        preprocessing through the batch runtime
         (``SolveJob(preprocess=True)``) instead; requesting it here for
         them raises :class:`~repro.exceptions.SolverError`. The ``"cdcl"``
         spec falls back to the generic re-solve session when preprocessing
         is requested (per-query inprocessing is incompatible with retained
         native solver state).
-    solver_kwargs:
-        Extra constructor arguments for the underlying solver.
     """
-    if preprocess and solver in ("nbl-symbolic", "nbl-sampled", "portfolio"):
+    if preprocess and (solver in NBL_SPECS or solver == PORTFOLIO_SPEC):
         raise SolverError(
             f"preprocess= is not supported for {solver!r} sessions; use a "
             "registry solver spec, or SolveJob(preprocess=True) in the "
             "batch runtime"
         )
-    if solver in ("nbl-symbolic", "nbl-sampled"):
-        engine = solver.split("-", 1)[1]
-        config = NBLConfig(
-            carrier=carrier_from_name(carrier),
-            max_samples=samples,
-            block_size=min(20_000, samples),
-            seed=seed,
-        )
-        nbl = NBLSATSolver(engine=engine, config=config, **solver_kwargs)
-        return NBLSession(
-            nbl, base_formula=base_formula, num_variables=num_variables
-        )
-    if solver == "portfolio":
-        from repro.runtime.portfolio import PortfolioSolver
-
-        portfolio = PortfolioSolver(
-            samples=samples, carrier=carrier, **solver_kwargs
-        )
+    if solver == PORTFOLIO_SPEC:
         return PortfolioSession(
-            portfolio,
+            PortfolioSolver(samples=samples, carrier=carrier),
             base_formula=base_formula,
             num_variables=num_variables,
             seed=seed,
         )
-    from repro.runtime.portfolio import SEEDED_SOLVERS
-
-    kwargs = dict(solver_kwargs)
-    if solver in SEEDED_SOLVERS and seed is not None:
-        kwargs.setdefault("seed", seed)
-    instance = make_solver(solver, **kwargs)
+    instance = make_spec_solver(solver, seed, samples, carrier)
     return instance.make_session(
         base_formula=base_formula,
         num_variables=num_variables,

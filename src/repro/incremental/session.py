@@ -24,9 +24,10 @@ Two implementations share the interface:
   decisions inside one search (no formula rebuild, no restart from
   scratch).
 * :class:`ResolveSession` — the generic fallback for every other
-  registered solver (DPLL, WalkSAT, GSAT, brute force, hybrid, ...): each
-  query re-solves the accumulated formula with the assumptions appended as
-  unit clauses. Same semantics, none of the warm-start benefit.
+  registered solver (DPLL, WalkSAT, GSAT, brute force, hybrid, the NBL
+  engines, ...): each query re-solves the accumulated formula with the
+  assumptions appended as unit clauses. Same semantics, none of the
+  warm-start benefit.
 
 Semantics shared by both: ``solve(assumptions)`` is equivalent to solving
 ``session.formula().with_assumptions(assumptions)`` from scratch — an
@@ -183,8 +184,9 @@ class IncrementalSession(abc.ABC):
             are *not* added to the clause set. ``UNSAT`` therefore means
             "unsatisfiable under these assumptions".
         timeout:
-            Optional cooperative wall-clock budget in seconds (ignored by
-            the NBL frontends, which are bounded by their sample budget).
+            Optional cooperative wall-clock budget in seconds (the NBL
+            engines check it only before they start; their sample budget
+            bounds the run).
         """
         validated = self._validate_assumptions(assumptions)
         session_span = _telemetry.span("session.solve")
@@ -237,11 +239,13 @@ class IncrementalSession(abc.ABC):
     def set_proof_log(self, log) -> None:
         """Attach a DRAT :class:`~repro.proofs.ProofLog` sink, if supported.
 
-        Only sessions backed by a proof-capable solver accept a sink; the
-        NBL and portfolio frontends raise :class:`SolverError`. The log
-        records the derivations of subsequent queries; it stays checkable
-        against the clause set in force at refutation time (with any
-        assumptions of that query as unit clauses for re-solve sessions).
+        Sessions over a registry solver accept a sink (a solver that is
+        not proof-capable leaves it empty and flags it incomplete on its
+        UNSAT verdicts); only the portfolio session raises
+        :class:`SolverError`. The log records the derivations of subsequent
+        queries; it stays checkable against the clause set in force at
+        refutation time (with any assumptions of that query as unit clauses
+        for re-solve sessions).
         """
         raise SolverError(
             f"{type(self).__name__} does not support proof logging"

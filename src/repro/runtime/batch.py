@@ -22,13 +22,12 @@ from repro.exceptions import ReproError, RuntimeSubsystemError
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.jobs import (
     ERROR,
-    NBL_SPECS,
-    PORTFOLIO_SPEC,
+    NO_PROOF_SPECS,
     SolveJob,
     SolveOutcome,
+    known_solver_specs,
 )
 from repro.runtime.pool import WorkerPool
-from repro.solvers.registry import available_solvers
 from repro.telemetry import instrument as _telemetry
 
 PathLike = Union[str, os.PathLike]
@@ -204,14 +203,12 @@ class BatchRunner:
     ) -> None:
         # Validate the spec up front: a typo'd solver name should fail the
         # batch immediately, not once per instance inside the workers.
-        known = set(available_solvers()) | set(NBL_SPECS) | {PORTFOLIO_SPEC}
+        known = known_solver_specs()
         if solver not in known:
             raise RuntimeSubsystemError(
                 f"unknown solver spec {solver!r}; available: {sorted(known)}"
             )
-        if proof_dir is not None and (
-            solver in NBL_SPECS or solver == PORTFOLIO_SPEC
-        ):
+        if proof_dir is not None and solver in NO_PROOF_SPECS:
             raise RuntimeSubsystemError(
                 f"proof_dir requires a classical solver spec; "
                 f"{solver!r} cannot emit DRAT derivations"

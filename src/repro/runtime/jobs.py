@@ -13,13 +13,17 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.cnf.formula import CNFFormula
-from repro.core.config import NBLConfig
 from repro.exceptions import RuntimeSubsystemError
+from repro.solvers.registry import available_solvers
 
-#: Solver specs understood by the runtime, beyond the classical-solver
-#: registry names: the two NBL engine frontends and the portfolio racer.
+#: The registry specs that run an NBL engine: they take the job's sample
+#: budget and carrier, and report ``samples_used``.
 NBL_SPECS = ("nbl-symbolic", "nbl-sampled")
+#: The one runtime spec that is not a registry solver: the portfolio racer.
 PORTFOLIO_SPEC = "portfolio"
+#: The specs that cannot emit DRAT derivations, so no job naming one
+#: may ask for a proof.
+NO_PROOF_SPECS = NBL_SPECS + (PORTFOLIO_SPEC,)
 
 #: Outcome statuses. ``SAT``/``UNSAT``/``UNKNOWN`` mirror the solver
 #: verdicts; ``ERROR`` marks jobs that raised instead of answering and
@@ -27,6 +31,11 @@ PORTFOLIO_SPEC = "portfolio"
 #: limit, or out of time).
 ERROR = "ERROR"
 SKIPPED = "SKIPPED"
+
+
+def known_solver_specs() -> set[str]:
+    """Every solver spec a job may name: the registry plus ``"portfolio"``."""
+    return set(available_solvers()) | {PORTFOLIO_SPEC}
 
 
 def solve_cache_key(fingerprint: str, assumptions: tuple[int, ...] = ()) -> str:
@@ -71,9 +80,10 @@ class SolveJob:
     label:
         Human-readable origin (typically the DIMACS file path).
     solver:
-        Solver spec: ``"portfolio"``, ``"nbl-symbolic"``, ``"nbl-sampled"``
-        or any classical-solver registry name (``"dpll"``, ``"cdcl"``,
-        ``"walksat"``, ``"gsat"``, ``"brute-force"``, ``"hybrid"``, ...).
+        Solver spec: ``"portfolio"`` or any registry solver name
+        (``"nbl-symbolic"``, ``"nbl-sampled"``, ``"dpll"``, ``"cdcl"``,
+        ``"walksat"``, ``"gsat"``, ``"brute-force"``, ``"hybrid"``, ...;
+        see :func:`known_solver_specs`).
     samples:
         Sample budget per check for the sampled NBL engine.
     carrier:
@@ -81,12 +91,12 @@ class SolveJob:
     timeout:
         Optional per-job wall-clock budget in seconds. Enforced
         cooperatively by the classical solvers (and, in multi-worker
-        pools, by a parent-side grace window). The NBL engines are bounded
-        differently: the sampled engine by its ``samples`` budget, the
-        symbolic engine by the pool's variable limit
-        (:data:`repro.runtime.portfolio.EXPONENTIAL_LIMITS`) — so pick
-        ``samples``, not ``timeout``, to cap sampled-NBL jobs in a serial
-        pool.
+        pools, by a parent-side grace window). The NBL engines check it
+        only before they start and are bounded differently: the sampled
+        engine by its ``samples`` budget, the symbolic engine by the pool's
+        variable limit (:data:`repro.runtime.portfolio.EXPONENTIAL_LIMITS`)
+        — so pick ``samples``, not ``timeout``, to cap sampled-NBL jobs in
+        a serial pool.
     assumptions:
         DIMACS-signed literals that must hold for this job only (they are
         not part of the formula). Canonicalised to a sorted tuple; an
@@ -98,12 +108,6 @@ class SolveJob:
         Explicit per-job seed. ``None`` (the default) derives a
         deterministic seed from the pool's master seed, the job id and the
         formula fingerprint — see :func:`repro.runtime.pool.derive_job_seed`.
-    nbl_config:
-        Full :class:`~repro.core.config.NBLConfig` for NBL engine jobs.
-        When set it overrides ``samples``/``carrier`` entirely (only the
-        seed is replaced by the per-job seed), preserving every knob —
-        carrier parameters, convergence policy, thresholds — that the
-        name-based fields cannot express.
     preprocess:
         Run the :mod:`repro.preprocess` inprocessing pipeline (with the
         assumption variables frozen) before dispatching to the solver; the
@@ -131,7 +135,6 @@ class SolveJob:
     timeout: Optional[float] = None
     assumptions: tuple[int, ...] = ()
     seed: Optional[int] = None
-    nbl_config: Optional[NBLConfig] = None
     preprocess: bool = False
     proof: Optional[str] = None
 
@@ -155,9 +158,7 @@ class SolveJob:
                     f"assumption {lit} mentions x{abs(lit)} beyond the "
                     f"formula's {self.formula.num_variables} variables"
                 )
-        if self.proof is not None and (
-            self.solver in NBL_SPECS or self.solver == PORTFOLIO_SPEC
-        ):
+        if self.proof is not None and self.solver in NO_PROOF_SPECS:
             raise RuntimeSubsystemError(
                 f"SolveJob(proof=...) requires a classical solver spec; "
                 f"{self.solver!r} cannot emit DRAT derivations"

@@ -24,13 +24,7 @@ from repro.cnf.assignment import Assignment
 from repro.exceptions import RuntimeSubsystemError
 from repro.runtime.jobs import ERROR, NBL_SPECS, PORTFOLIO_SPEC, SolveJob, SolveOutcome
 from repro.proofs.log import resolve_proof_log
-from repro.runtime.portfolio import (
-    SEEDED_SOLVERS,
-    PortfolioSolver,
-    refusal_reason,
-    solve_with_nbl,
-)
-from repro.solvers.registry import make_solver
+from repro.runtime.portfolio import PortfolioSolver, make_spec_solver, refusal_reason
 from repro.telemetry import instrument as _telemetry
 
 #: Extra parent-side wall-clock grace (seconds) on top of a job's own
@@ -130,9 +124,7 @@ def _execute_direct(job: SolveJob, seed: int, identity: SolveJob) -> SolveOutcom
         return _outcome(identity, ERROR, error=f"{job.solver} refused: {refusal}")
     if job.solver == PORTFOLIO_SPEC:
         return _execute_portfolio(job, seed, identity)
-    if job.solver in NBL_SPECS:
-        return _execute_nbl(job, seed, identity)
-    return _execute_classical(job, seed, identity)
+    return _execute_solver(job, seed, identity)
 
 
 def _assumption_values(assumptions: tuple[int, ...]) -> Optional[dict[int, bool]]:
@@ -236,14 +228,13 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
             timeout=job.timeout,
             assumptions=reduction.map_assumptions(job.assumptions),
             seed=seed,
-            nbl_config=job.nbl_config,
         )
         inverse = {new: old for old, new in reduction.variable_map.items()}
         if log is not None:
-            # Proof-bearing jobs are always classical (validated at job
-            # construction), so dispatch there directly with the
-            # renaming view over the shared log.
-            outcome = _execute_classical(
+            # Proof-bearing jobs never name the portfolio (validated at
+            # job construction), so dispatch to the solver directly with
+            # the renaming view over the shared log.
+            outcome = _execute_solver(
                 reduced_job, seed, job, proof_log=log.translated(inverse)
             )
         else:
@@ -287,30 +278,12 @@ def _execute_portfolio(job: SolveJob, seed: int, identity: SolveJob) -> SolveOut
     )
 
 
-def _execute_nbl(job: SolveJob, seed: int, identity: SolveJob) -> SolveOutcome:
-    formula = (
-        job.formula.with_assumptions(job.assumptions)
-        if job.assumptions
-        else job.formula
-    )
-    status, verified, assignment, samples_used = solve_with_nbl(
-        job.solver, formula, job.samples, job.carrier, seed, job.nbl_config
-    )
-    return _outcome(
-        identity,
-        status,
-        winner=job.solver,
-        assignment=_assignment_ints(assignment),
-        verified=verified,
-        samples_used=samples_used,
-    )
-
-
-def _execute_classical(
+def _execute_solver(
     job: SolveJob, seed: int, identity: SolveJob, proof_log=None
 ) -> SolveOutcome:
-    kwargs = {"seed": seed} if job.solver in SEEDED_SOLVERS else {}
-    solver = make_solver(job.solver, **kwargs)
+    solver = make_spec_solver(
+        job.solver, seed=seed, samples=job.samples, carrier=job.carrier
+    )
     if proof_log is not None:
         log, owns_log = proof_log, False
     else:
@@ -338,6 +311,7 @@ def _execute_classical(
         winner=job.solver,
         assignment=_assignment_ints(result.assignment),
         verified=verified,
+        samples_used=result.stats.evaluations if job.solver in NBL_SPECS else 0,
         timed_out=result.timed_out,
         core=core,
         proof=identity.proof or "",

@@ -4,15 +4,16 @@ The racer runs a deterministic roster of *contenders* over one formula and
 returns the first **settled** answer:
 
 * ``SAT`` with a model that was verified against the formula, or
-* ``UNSAT`` from an exact/complete contender (the symbolic NBL engine or a
+* ``UNSAT`` from a complete contender (the exact symbolic NBL engine or a
   complete classical solver).
 
-Incomplete contenders (WalkSAT, GSAT, the sampled NBL engine's UNSAT
-verdict) can win only via a verified SAT model; their other verdicts are
-recorded but do not settle the race. Contenders run sequentially in roster
-order with an even split of the remaining time budget, which keeps the
-portfolio fully deterministic for a fixed seed — a requirement of the
-worker pool's reproducibility contract.
+Every contender is a registry solver built by :func:`make_spec_solver`.
+Incomplete contenders (WalkSAT, GSAT, the sampled NBL engine) can win only
+via a verified SAT model; their other verdicts are recorded but do not
+settle the race. Contenders run sequentially in roster order with an even
+split of the remaining time budget, which keeps the portfolio fully
+deterministic for a fixed seed — a requirement of the worker pool's
+reproducibility contract.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from typing import Optional, Sequence
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
-from repro.core.config import NBLConfig
-from repro.core.solver import NBLSATSolver
 from repro.exceptions import RuntimeSubsystemError
-from repro.noise.base import carrier_from_name
-from repro.runtime.jobs import ERROR, SKIPPED
-from repro.solvers.base import SAT, UNKNOWN, UNSAT
+from repro.runtime.jobs import ERROR, NBL_SPECS, SKIPPED
+from repro.solvers.base import UNKNOWN, SATSolver
 from repro.solvers.registry import available_solvers, make_solver
 
 #: Default roster: the paper's exact NBL engine first, then complete
@@ -62,41 +60,21 @@ def refusal_reason(solver: str, formula: CNFFormula) -> Optional[str]:
     return None
 
 
-def solve_with_nbl(
-    spec: str,
-    formula: CNFFormula,
-    samples: int,
-    carrier: str,
-    seed: Optional[int],
-    config: Optional[NBLConfig] = None,
-) -> tuple[str, bool, Optional[Assignment], int]:
-    """Run one NBL engine spec (``"nbl-symbolic"``/``"nbl-sampled"``).
+def make_spec_solver(
+    spec: str, seed: Optional[int], samples: int, carrier: str
+) -> SATSolver:
+    """The registry solver for one run of runtime solver ``spec``.
 
-    Shared by the portfolio racer and the worker pool so the engine recipe
-    (block size policy, verification rules) cannot diverge between the two.
-    A full ``config`` (see :attr:`SolveJob.nbl_config`) takes precedence
-    over the ``samples``/``carrier`` names; only its seed is replaced.
-
-    Returns ``(status, verified, assignment, samples_used)``: SAT is
-    verified only when the model was checked against the formula, UNSAT
-    only for the exact symbolic engine (the sampled engine's UNSAT is a
-    statistical verdict).
+    The one place that decides constructor arguments per spec, shared by
+    the worker pool, the portfolio racer and the session factory: the NBL
+    engines get the sample budget, carrier and seed, the stochastic local
+    searches get the seed, and every other solver its defaults.
     """
-    engine = "symbolic" if spec == "nbl-symbolic" else "sampled"
-    if config is not None:
-        config = config.replace(seed=seed)
-    else:
-        config = NBLConfig(
-            carrier=carrier_from_name(carrier),
-            max_samples=samples,
-            block_size=min(20_000, samples),
-            seed=seed,
-        )
-    solution = NBLSATSolver(engine=engine, config=config).solve(formula)
-    if solution.satisfiable:
-        verified = solution.verified and solution.assignment is not None
-        return SAT, verified, solution.assignment, solution.total_samples
-    return UNSAT, engine == "symbolic", None, solution.total_samples
+    if spec in NBL_SPECS:
+        return make_solver(spec, samples=samples, carrier=carrier, seed=seed)
+    if spec in SEEDED_SOLVERS:
+        return make_solver(spec, seed=seed)
+    return make_solver(spec)
 
 
 @dataclass
@@ -153,9 +131,9 @@ class PortfolioSolver:
     Parameters
     ----------
     contenders:
-        Roster of contender names, raced in order. Valid names are
-        ``"nbl-symbolic"``, ``"nbl-sampled"`` and every registry solver
-        name (:func:`repro.solvers.registry.available_solvers`).
+        Roster of contender names, raced in order: any registry solver
+        name (:func:`repro.solvers.registry.available_solvers`), the two
+        NBL engines ``"nbl-symbolic"`` and ``"nbl-sampled"`` included.
     samples:
         Sample budget per check for the sampled NBL engine.
     carrier:
@@ -170,11 +148,11 @@ class PortfolioSolver:
     ) -> None:
         if not contenders:
             raise RuntimeSubsystemError("portfolio needs at least one contender")
-        known = set(available_solvers()) | {"nbl-symbolic", "nbl-sampled"}
+        known = available_solvers()
         for name in contenders:
             if name not in known:
                 raise RuntimeSubsystemError(
-                    f"unknown portfolio contender {name!r}; available: {sorted(known)}"
+                    f"unknown portfolio contender {name!r}; available: {known}"
                 )
         self._contenders = tuple(contenders)
         self._samples = samples
@@ -288,10 +266,7 @@ class PortfolioSolver:
             return ContenderReport(name, SKIPPED, detail=refusal)
         started = time.perf_counter()
         try:
-            if name in ("nbl-symbolic", "nbl-sampled"):
-                report = self._run_nbl(name, formula, seed)
-            else:
-                report = self._run_classical(name, formula, seed, budget)
+            report = self._run_solver(name, formula, seed, budget)
         except Exception as exc:  # noqa: BLE001 — contender isolation boundary
             # Any failure (library error, RecursionError, ...) eliminates
             # this contender only; the rest of the roster still races.
@@ -301,44 +276,21 @@ class PortfolioSolver:
         report.elapsed_seconds = time.perf_counter() - started
         return report
 
-    def _run_nbl(
-        self, name: str, formula: CNFFormula, seed: Optional[int]
-    ) -> ContenderReport:
-        status, verified, assignment, samples_used = solve_with_nbl(
-            name, formula, self._samples, self._carrier, seed
-        )
-        if status == SAT and not verified:
-            return ContenderReport(
-                name,
-                UNKNOWN,
-                samples_used=samples_used,
-                detail="SAT claim without a verified model",
-            )
-        return ContenderReport(
-            name,
-            status,
-            samples_used=samples_used,
-            settled=verified,
-            assignment=assignment,
-            detail="" if verified else "statistical verdict",
-        )
-
-    def _run_classical(
+    def _run_solver(
         self,
         name: str,
         formula: CNFFormula,
         seed: Optional[int],
         budget: Optional[float],
     ) -> ContenderReport:
-        kwargs = {"seed": seed} if name in SEEDED_SOLVERS else {}
-        solver = make_solver(name, **kwargs)
+        solver = make_spec_solver(name, seed, self._samples, self._carrier)
         result = solver.solve(formula, timeout=budget)
-        if result.is_sat:
-            # The SATSolver base class has already verified the model.
-            return ContenderReport(
-                name, SAT, settled=True, assignment=result.assignment
-            )
-        if result.is_unsat:
-            return ContenderReport(name, UNSAT, settled=solver.complete)
-        detail = "timed out" if result.timed_out else ""
-        return ContenderReport(name, UNKNOWN, detail=detail)
+        return ContenderReport(
+            name,
+            result.status,
+            samples_used=result.stats.evaluations if name in NBL_SPECS else 0,
+            # The SATSolver base class has already verified any SAT model.
+            settled=result.is_sat or (result.is_unsat and solver.complete),
+            assignment=result.assignment,
+            detail="timed out" if result.timed_out else "",
+        )

@@ -53,8 +53,13 @@ from typing import Optional
 from repro.cnf.dimacs import parse_dimacs
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import ReproError
-from repro.runtime.jobs import NBL_SPECS, PORTFOLIO_SPEC, SolveJob, SolveOutcome
-from repro.solvers.registry import available_solvers
+from repro.runtime.jobs import (
+    NO_PROOF_SPECS,
+    PORTFOLIO_SPEC,
+    SolveJob,
+    SolveOutcome,
+    known_solver_specs,
+)
 
 #: Protocol schema version, included in ``stats`` responses so clients
 #: can detect incompatible servers.
@@ -118,11 +123,6 @@ class JobDefaults:
     timeout: Optional[float] = None
     preprocess: bool = False
     proof_dir: Optional[str] = None
-
-
-def known_solver_specs() -> set[str]:
-    """Every solver spec a request may name (registry + NBL + portfolio)."""
-    return set(available_solvers()) | set(NBL_SPECS) | {PORTFOLIO_SPEC}
 
 
 def parse_request(line: str) -> dict:
@@ -243,9 +243,7 @@ def build_job(payload: dict, defaults: JobDefaults) -> SolveJob:
             seed=seed,
             preprocess=preprocess,
         )
-        if defaults.proof_dir is not None and solver not in NBL_SPECS and (
-            solver != PORTFOLIO_SPEC
-        ):
+        if defaults.proof_dir is not None and solver not in NO_PROOF_SPECS:
             # Proof passthrough: classical solves get a DRAT receipt named
             # after the job id (fingerprint-derived, so concurrent
             # duplicates share one file — exactly like `batch --proof-dir`).

@@ -43,11 +43,10 @@ from typing import Callable, Optional
 
 from repro import faults as _faults
 from repro.exceptions import CachePersistError, RuntimeSubsystemError
-from repro.runtime.jobs import ERROR, SolveJob, SolveOutcome
+from repro.runtime.jobs import ERROR, SolveJob, SolveOutcome, known_solver_specs
 from repro.runtime.locks import DEFAULT_LEASE_TIMEOUT
 from repro.runtime.pool import JobExecutor, WorkerPool
 from repro.runtime.shards import ShardedResultCache
-from repro.service import protocol
 from repro.service.protocol import (
     BAD_REQUEST,
     FAILED,
@@ -125,10 +124,10 @@ class ServiceConfig:
     proof_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.solver not in protocol.known_solver_specs():
+        if self.solver not in known_solver_specs():
             raise RuntimeSubsystemError(
                 f"unknown solver spec {self.solver!r}; "
-                f"available: {sorted(protocol.known_solver_specs())}"
+                f"available: {sorted(known_solver_specs())}"
             )
         if self.workers <= 0:
             raise RuntimeSubsystemError(

@@ -1,9 +1,11 @@
-"""By-name registry of the baseline solvers.
+"""By-name registry of every solver the runtime can run.
 
-The registry is extensible: downstream code (and :mod:`repro.hybrid`) adds
-solvers with :func:`register_solver`, after which they are constructible by
-name everywhere a solver name is accepted — the CLI, the portfolio racer and
-the batch runtime.
+Built in are the classical baselines, the two NBL engines
+(``"nbl-symbolic"``, ``"nbl-sampled"``) and the NBL-guided ``"hybrid"``.
+The registry is extensible: downstream code adds solvers with
+:func:`register_solver`, after which they are constructible by name
+everywhere a solver name is accepted — the portfolio racer, the batch
+runtime, the solve service and the session factory.
 """
 
 from __future__ import annotations
@@ -67,13 +69,13 @@ def register_solver(
 
 
 def available_solvers() -> list[str]:
-    """Names of all registered baseline solvers."""
+    """Names of all registered solvers."""
     _ensure_extended_solvers()
     return sorted(_SOLVERS)
 
 
 def make_solver(name: str, preprocess=None, **kwargs) -> SATSolver:
-    """Instantiate a baseline solver by registry name.
+    """Instantiate a solver by registry name.
 
     ``preprocess`` (``True`` or a :class:`~repro.preprocess.Preprocessor`)
     installs the inprocessing pipeline as the solver's default: every
@@ -99,12 +101,17 @@ def make_solver(name: str, preprocess=None, **kwargs) -> SATSolver:
 def _ensure_extended_solvers() -> None:
     """Register solvers living outside :mod:`repro.solvers` exactly once.
 
-    The hybrid CPU + NBL-coprocessor solver is defined in :mod:`repro.hybrid`
-    (which imports this package), so it cannot be registered at import time
-    here without a cycle; it is pulled in lazily on first registry use.
+    The two NBL engine solvers (:mod:`repro.solvers.nbl`) and the hybrid
+    CPU + NBL-coprocessor solver (:mod:`repro.hybrid`) build on
+    :mod:`repro.core`, which this package does not import, and the hybrid
+    module imports this package (a cycle at import time); they are pulled
+    in lazily on first registry use.
     """
     if "hybrid" in _SOLVERS:
         return
     from repro.hybrid.solver import HybridNBLSolver
+    from repro.solvers.nbl import SampledNBLSolver, SymbolicNBLSolver
 
+    register_solver(SymbolicNBLSolver)
+    register_solver(SampledNBLSolver)
     register_solver(HybridNBLSolver, name="hybrid")

@@ -98,10 +98,6 @@ class TestTransformations:
         with pytest.raises(CNFError):
             CNFFormula.from_ints([[1]]).condition(2, True)
 
-    def test_remove_tautologies(self):
-        formula = CNFFormula.from_ints([[1, -1], [2]])
-        assert formula.remove_tautologies().num_clauses == 1
-
     def test_to_ints_roundtrip(self):
         clauses = [[1, -2], [2, 3]]
         formula = CNFFormula.from_ints(clauses)

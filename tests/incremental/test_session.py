@@ -10,7 +10,6 @@ from repro.exceptions import SolverError
 from repro.incremental import (
     CDCLSession,
     IncrementalSession,
-    NBLSession,
     PortfolioSession,
     ResolveSession,
     make_session,
@@ -35,7 +34,7 @@ class TestSessionBasics:
     def test_cdcl_gets_the_native_session(self):
         assert isinstance(make_session("cdcl"), CDCLSession)
         assert isinstance(make_session("dpll"), ResolveSession)
-        assert isinstance(make_session("nbl-symbolic"), NBLSession)
+        assert isinstance(make_session("nbl-symbolic"), ResolveSession)
         assert isinstance(make_session("portfolio"), PortfolioSession)
 
     def test_solver_make_session_hook(self):

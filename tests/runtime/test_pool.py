@@ -142,7 +142,7 @@ class TestExecution:
         def explode(name, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr(pool_module, "make_solver", explode)
+        monkeypatch.setattr(pool_module, "make_spec_solver", explode)
         outcome = execute_job(
             SolveJob(formula=CNFFormula.from_ints([[1]]), solver="dpll")
         )

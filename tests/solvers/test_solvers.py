@@ -229,6 +229,8 @@ class TestRegistry:
             "walksat",
             "gsat",
             "hybrid",
+            "nbl-symbolic",
+            "nbl-sampled",
         }
 
     def test_make_solver(self):

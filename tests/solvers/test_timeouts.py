@@ -20,6 +20,8 @@ from repro.solvers.registry import available_solvers, make_solver
 #: Search solvers get a budget that allows real work before expiring;
 #: brute force enumerates in one vectorised step, so only its up-front
 #: checkpoint can fire — it gets a budget that is already spent on entry.
+#: The NBL engines are bounded by their sample budget and likewise check
+#: the clock only on entry.
 #: The hybrid solver's symbolic coprocessor scores minterm masks per
 #: decision, which is exactly the kind of slow checkpoint-free stretch the
 #: budget must survive (its inner DPLL owns the checkpoints).
@@ -38,6 +40,8 @@ TIMEOUT_SCENARIOS = {
     ),
     "brute-force": (dict(), pigeonhole_formula(4, 3), 1e-9),
     "hybrid": (dict(), pigeonhole_formula(4, 3), 1e-9),
+    "nbl-symbolic": (dict(), pigeonhole_formula(4, 3), 1e-9),
+    "nbl-sampled": (dict(samples=1_000), pigeonhole_formula(4, 3), 1e-9),
 }
 
 #: Scenarios whose budget permits measurable work before expiring.

@@ -453,15 +453,22 @@ class TestIncrementalProofFlag:
         assert "s UNSATISFIABLE" in out and proof in out
         assert main(["check-proof", unsat_file, proof]) == 0
 
-    def test_nbl_session_rejects_proof(self, tmp_path, capsys):
+    def test_nbl_session_marks_proof_incomplete(self, tmp_path, capsys):
+        """The NBL engines emit no derivations: their UNSAT leaves the log
+        flagged incomplete, and check-proof rejects it."""
+        cnf = tmp_path / "contradiction.cnf"
+        cnf.write_text("p cnf 1 2\n1 0\n-1 0\n", encoding="utf-8")
         script = tmp_path / "queries.txt"
-        script.write_text("add 1 0\nsolve\n", encoding="utf-8")
+        script.write_text(f"load {cnf}\nsolve\n", encoding="utf-8")
+        proof = tmp_path / "x.drat"
         code = main(
             ["incremental", str(script), "--solver", "nbl-symbolic",
-             "--proof", str(tmp_path / "x.drat")]
+             "--proof", str(proof)]
         )
-        assert code == 1
-        assert "does not support proof logging" in capsys.readouterr().err
+        assert code == 0
+        assert "s UNSATISFIABLE" in capsys.readouterr().out
+        assert "c incomplete" in proof.read_text(encoding="utf-8")
+        assert main(["check-proof", str(cnf), str(proof)]) == 1
 
 
 class TestBatchProofDir:
