@@ -17,8 +17,9 @@ The package implements the paper's NBL-SAT scheme end-to-end:
 * :mod:`repro.hybrid` — the CPU + NBL-coprocessor hybrid solver;
 * :mod:`repro.preprocess` — SatELite-style inprocessing (units, pure
   literals, subsumption/strengthening, blocked clauses, bounded variable
-  elimination) with model reconstruction, hooked into every solver,
-  job and session via ``preprocess=``;
+  elimination) with model reconstruction, run in front of any solver by
+  ``SolveJob(preprocess=True)`` and by sessions built with
+  ``make_session(spec, preprocess=True)``;
 * :mod:`repro.incremental` — incremental solving sessions
   (``add_clause``/``solve(assumptions)``/``push``/``pop``) over every
   solver spec, native in the CDCL engine;

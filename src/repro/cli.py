@@ -314,16 +314,18 @@ def _build_parser() -> argparse.ArgumentParser:
     incremental.add_argument(
         "--preprocess",
         action="store_true",
-        help="run the inprocessing pipeline per query with the query's "
-        "assumption variables frozen (registry solver specs only)",
+        help="run each query as a preprocessing job: the inprocessing "
+        "pipeline runs with the query's assumption variables frozen (any "
+        "solver spec; no --proof)",
     )
     incremental.add_argument(
         "--proof",
         default=None,
         metavar="FILE",
         help="record the session's DRAT derivations to FILE (not for "
-        "portfolio sessions; solvers that emit no derivations, such as the "
-        "NBL engines, mark the file 'c incomplete' on UNSAT; "
+        "portfolio or --preprocess sessions; solvers that emit no "
+        "derivations, such as the NBL engines, mark the file "
+        "'c incomplete' on UNSAT; "
         "UNSAT-under-assumption queries record a partial derivation, see "
         "docs/proofs.md)",
     )
@@ -843,25 +845,29 @@ def _run_incremental(args: argparse.Namespace) -> int:
 def _run_solve_proof(args: argparse.Namespace) -> int:
     """``solve --proof``: decide with CDCL while recording a DRAT proof."""
     from repro.exceptions import ReproError
-    from repro.solvers.registry import make_solver
+    from repro.runtime import SolveJob, execute_job
 
     try:
         formula = parse_dimacs_file(args.cnf)
-        result = make_solver("cdcl").solve(
+        job = SolveJob(
             formula,
-            preprocess=False if args.no_preprocess else True,
+            solver="cdcl",
+            preprocess=not args.no_preprocess,
             proof=args.proof,
         )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if result.is_sat:
+    outcome = execute_job(job)
+    if outcome.status not in ("SAT", "UNSAT"):
+        # ERROR carries the exception text; an UNKNOWN (CDCL's conflict
+        # cap) is no verdict either.
+        print(f"error: {outcome.error or outcome.status}", file=sys.stderr)
+        return 1
+    if outcome.status == "SAT":
         print("SATISFIABLE")
-        print(
-            "v",
-            " ".join(str(lit.to_int()) for lit in result.assignment.to_literals()),
-            "0",
-        )
+        model = sorted(outcome.assignment, key=abs)
+        print("v", " ".join(str(lit) for lit in model), "0")
         print(f"c proof written to {args.proof}")
         return 10
     print("UNSATISFIABLE")

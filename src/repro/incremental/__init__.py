@@ -9,7 +9,8 @@ equivalence checks); this package keeps solver state alive between them:
   and VSIDS activities, in-search assumption handling);
 * :class:`ResolveSession` — the generic re-solve fallback wrapping any
   other registered solver, the NBL engines included;
-* :class:`PortfolioSession` — the session frontend of the portfolio racer;
+* :class:`JobSession` — runs each query as one runtime job: the
+  portfolio's sessions and every preprocessing session;
 * :func:`make_session` — factory understanding every runtime solver spec.
 
 Quickstart (register-allocation k-sweep)::
@@ -24,7 +25,7 @@ Quickstart (register-allocation k-sweep)::
         result = session.solve(assumptions=blocked)   # warm solver state
 """
 
-from repro.incremental.frontends import PortfolioSession, make_session
+from repro.incremental.frontends import JobSession, make_session
 from repro.incremental.session import (
     CDCLSession,
     IncrementalSession,
@@ -34,7 +35,7 @@ from repro.incremental.session import (
 __all__ = [
     "CDCLSession",
     "IncrementalSession",
-    "PortfolioSession",
+    "JobSession",
     "ResolveSession",
     "make_session",
 ]

@@ -1,65 +1,104 @@
-"""The portfolio's session frontend, and the factory for every runtime spec.
+"""The job-backed session, and the factory for every runtime spec.
 
 Registry solvers (the NBL engines included) get their sessions through
-:meth:`repro.solvers.base.SATSolver.make_session`; the portfolio is the one
-runtime spec that is not a :class:`SATSolver`.
+:meth:`repro.solvers.base.SATSolver.make_session`. Portfolio sessions and
+preprocessing sessions instead answer each query as one runtime job, so
+the portfolio race and preprocess-then-solve are each decided in one
+place: :func:`repro.runtime.pool.execute_job`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import SolverError
 from repro.incremental.session import IncrementalSession
-from repro.runtime.jobs import NBL_SPECS, PORTFOLIO_SPEC
-from repro.runtime.portfolio import PortfolioSolver, make_spec_solver
+from repro.runtime.jobs import ERROR, PORTFOLIO_SPEC, SolveJob, known_solver_specs
+from repro.runtime.pool import execute_job
+from repro.runtime.portfolio import make_spec_solver
 from repro.solvers.base import SolverResult, SolverStats
 
 
-class PortfolioSession(IncrementalSession):
-    """Re-solve session that races the portfolio roster per query.
+class JobSession(IncrementalSession):
+    """Re-solve session that runs each query as one :class:`SolveJob`.
 
-    ``solve`` hands the accumulated formula plus the query's assumptions to
-    :meth:`repro.runtime.portfolio.PortfolioSolver.solve`; the full
-    :class:`~repro.runtime.portfolio.PortfolioResult` of the latest query
-    (per-contender timings and verdicts) stays available as
-    :attr:`last_result`.
+    ``solve`` hands the accumulated formula and the query's assumptions to
+    :func:`repro.runtime.pool.execute_job`, the path the batch runtime and
+    the solve service take. With ``preprocess`` the job freezes the
+    assumption variables, solves the residual and maps the model and the
+    failing core back to the session's numbering; the pipeline's
+    refutations are sound, so even an incomplete spec may then answer
+    ``UNSAT``. The full
+    :class:`~repro.runtime.jobs.SolveOutcome` of the latest query stays
+    available as :attr:`last_outcome`. A job whose seed is ``None`` gets
+    the runtime's derived per-job seed, so a query's answer is
+    deterministic.
+
+    Parameters
+    ----------
+    solver:
+        Any runtime solver spec (:func:`repro.runtime.jobs.known_solver_specs`).
+    base_formula / num_variables:
+        Initial problem (see :class:`IncrementalSession`).
+    seed / samples / carrier / preprocess:
+        Copied into every query's :class:`SolveJob`.
     """
-
-    solver_name = "portfolio"
 
     def __init__(
         self,
-        portfolio=None,
+        solver: str = PORTFOLIO_SPEC,
         base_formula: Optional[CNFFormula] = None,
         num_variables: int = 0,
         seed: Optional[int] = None,
+        samples: int = 200_000,
+        carrier: str = "uniform",
+        preprocess: bool = False,
     ) -> None:
-        self._portfolio = portfolio if portfolio is not None else PortfolioSolver()
-        self._seed = seed
-        self.last_result = None
+        known = known_solver_specs()
+        if solver not in known:
+            raise SolverError(
+                f"unknown solver spec {solver!r}; available: {sorted(known)}"
+            )
+        self.solver_name = solver
+        self._options = dict(
+            solver=solver,
+            seed=seed,
+            samples=samples,
+            carrier=carrier,
+            preprocess=preprocess,
+        )
+        self.last_outcome = None
         super().__init__(base_formula=base_formula, num_variables=num_variables)
 
     def _solve(
         self, assumptions: tuple[int, ...], timeout: Optional[float]
     ) -> SolverResult:
-        race = self._portfolio.solve(
-            self.formula(),
-            seed=self._seed,
-            timeout=timeout,
-            assumptions=assumptions,
+        outcome = execute_job(
+            SolveJob(
+                formula=self.formula(),
+                assumptions=assumptions,
+                timeout=timeout,
+                **self._options,
+            )
         )
-        self.last_result = race
-        stats = SolverStats(
-            evaluations=race.samples_used,
-            elapsed_seconds=race.elapsed_seconds,
-        )
+        self.last_outcome = outcome
+        if outcome.status == ERROR:
+            raise SolverError(outcome.error)
+        model = outcome.assignment
         result = SolverResult(
-            race.status, race.assignment, stats, timed_out=race.timed_out
+            outcome.status,
+            None if model is None else Assignment.from_literals(model),
+            SolverStats(
+                evaluations=outcome.samples_used,
+                elapsed_seconds=outcome.elapsed_seconds,
+            ),
+            timed_out=outcome.timed_out,
+            core=outcome.core,
         )
-        if race.winner:
-            result.solver_name = f"portfolio:{race.winner}"
+        if outcome.winner and outcome.winner != self.solver_name:
+            result.solver_name = f"{self.solver_name}:{outcome.winner}"
         return result
 
 
@@ -70,7 +109,7 @@ def make_session(
     seed: Optional[int] = None,
     samples: int = 200_000,
     carrier: str = "uniform",
-    preprocess=None,
+    preprocess: bool = False,
 ) -> IncrementalSession:
     """Build an incremental session for any runtime solver spec.
 
@@ -89,32 +128,23 @@ def make_session(
     samples / carrier:
         Sampled-NBL engine budget and carrier family.
     preprocess:
-        ``True`` or a :class:`~repro.preprocess.Preprocessor` to run the
-        inprocessing pipeline per query with the query's assumption
-        variables frozen. Not for the NBL and portfolio specs — they get
-        preprocessing through the batch runtime
-        (``SolveJob(preprocess=True)``) instead; requesting it here for
-        them raises :class:`~repro.exceptions.SolverError`. The ``"cdcl"``
-        spec falls back to the generic re-solve session when preprocessing
-        is requested (per-query inprocessing is incompatible with retained
-        native solver state).
+        Run every query as ``SolveJob(preprocess=True)``: the inprocessing
+        pipeline runs on the accumulated formula with the query's
+        assumption variables frozen, for any spec. Portfolio sessions and
+        preprocessing sessions are :class:`JobSession` objects, which keep
+        no solver state between queries and take no proof log.
     """
-    if preprocess and (solver in NBL_SPECS or solver == PORTFOLIO_SPEC):
-        raise SolverError(
-            f"preprocess= is not supported for {solver!r} sessions; use a "
-            "registry solver spec, or SolveJob(preprocess=True) in the "
-            "batch runtime"
-        )
-    if solver == PORTFOLIO_SPEC:
-        return PortfolioSession(
-            PortfolioSolver(samples=samples, carrier=carrier),
+    if solver == PORTFOLIO_SPEC or preprocess:
+        return JobSession(
+            solver,
             base_formula=base_formula,
             num_variables=num_variables,
             seed=seed,
+            samples=samples,
+            carrier=carrier,
+            preprocess=preprocess,
         )
     instance = make_spec_solver(solver, seed, samples, carrier)
     return instance.make_session(
-        base_formula=base_formula,
-        num_variables=num_variables,
-        preprocess=preprocess,
+        base_formula=base_formula, num_variables=num_variables
     )

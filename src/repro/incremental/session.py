@@ -17,7 +17,7 @@ equivalence checking — are *sequences* of closely related SAT queries. An
     # ... pop: the scoped clause is retracted again
     session.solve()                      # query N, warm solver state
 
-Two implementations share the interface:
+Two solver-backed implementations share the interface:
 
 * :class:`CDCLSession` — native incremental CDCL. Learned clauses and
   VSIDS activities persist across calls, assumptions are temporary
@@ -29,8 +29,11 @@ Two implementations share the interface:
   assumptions appended as unit clauses. Same semantics, none of the
   warm-start benefit.
 
-Semantics shared by both: ``solve(assumptions)`` is equivalent to solving
-``session.formula().with_assumptions(assumptions)`` from scratch — an
+Portfolio and preprocessing sessions answer each query as one runtime job
+instead (:class:`repro.incremental.JobSession`).
+
+Semantics shared by all sessions: ``solve(assumptions)`` is equivalent to
+solving ``session.formula().with_assumptions(assumptions)`` from scratch — an
 ``UNSAT`` answer means *unsatisfiable under the assumptions*, and an
 incomplete solver reports ``UNKNOWN`` instead of ``UNSAT``. The
 differential fuzz suite (``tests/property/test_differential_fuzz.py``)
@@ -241,11 +244,13 @@ class IncrementalSession(abc.ABC):
 
         Sessions over a registry solver accept a sink (a solver that is
         not proof-capable leaves it empty and flags it incomplete on its
-        UNSAT verdicts); only the portfolio session raises
-        :class:`SolverError`. The log records the derivations of subsequent
-        queries; it stays checkable against the clause set in force at
-        refutation time (with any assumptions of that query as unit clauses
-        for re-solve sessions).
+        UNSAT verdicts). A :class:`~repro.incremental.JobSession` — the
+        session of the portfolio and of every ``preprocess=True`` spec —
+        raises :class:`SolverError`; a proof of a preprocessed solve comes
+        from ``SolveJob(preprocess=True, proof=path)``. The log records the
+        derivations of subsequent queries; it stays checkable against the
+        clause set in force at refutation time (with any assumptions of
+        that query as unit clauses for re-solve sessions).
         """
         raise SolverError(
             f"{type(self).__name__} does not support proof logging"
@@ -322,17 +327,7 @@ class ResolveSession(IncrementalSession):
     appends the assumptions as unit clauses and runs the wrapped solver from
     scratch — the session interface without the warm-start speedups of
     :class:`CDCLSession`. Incomplete solvers keep their semantics: they
-    answer ``UNKNOWN``, never ``UNSAT`` — unless a query's *preprocessing*
-    refutes the formula, which is a sound ``UNSAT`` proof even under an
-    incomplete search.
-
-    With ``preprocessor`` set (``True`` or a
-    :class:`~repro.preprocess.Preprocessor`), every query first runs the
-    inprocessing pipeline on the accumulated formula. The query's
-    assumption variables are frozen, so eliminated variables can never
-    collide with assumptions or with clauses asserted in ``push``/``pop``
-    scopes — scoped clauses are part of the snapshot each query
-    preprocesses, and retracting them simply changes the next snapshot.
+    answer ``UNKNOWN``, never ``UNSAT``.
     """
 
     def __init__(
@@ -340,16 +335,12 @@ class ResolveSession(IncrementalSession):
         solver: SATSolver,
         base_formula: Optional[CNFFormula] = None,
         num_variables: int = 0,
-        preprocessor=None,
     ) -> None:
         if not isinstance(solver, SATSolver):
             raise SolverError(
                 f"ResolveSession expects a SATSolver, got {type(solver).__name__}"
             )
-        from repro.preprocess.pipeline import resolve_preprocessor
-
         self._solver = solver
-        self._preprocessor = resolve_preprocessor(preprocessor)
         self.solver_name = solver.name
         super().__init__(base_formula=base_formula, num_variables=num_variables)
 
@@ -357,11 +348,6 @@ class ResolveSession(IncrementalSession):
     def solver(self) -> SATSolver:
         """The wrapped solver instance (reused across queries)."""
         return self._solver
-
-    @property
-    def preprocessor(self):
-        """The per-query :class:`~repro.preprocess.Preprocessor` (or ``None``)."""
-        return self._preprocessor
 
     def set_proof_log(self, log) -> None:
         """Attach a persistent DRAT sink to the wrapped solver.
@@ -378,18 +364,7 @@ class ResolveSession(IncrementalSession):
         self, assumptions: tuple[int, ...], timeout: Optional[float]
     ) -> SolverResult:
         strengthened = self.formula().with_assumptions(assumptions)
-        if self._preprocessor is None:
-            return self._solver.solve(strengthened, timeout=timeout)
-        # The assumptions are already baked into ``strengthened`` as unit
-        # clauses, so nothing outlives them: the reduction is rebuilt per
-        # query. Freezing their variables would forbid the pipeline from
-        # propagating exactly the literals most likely to simplify the
-        # query, for no soundness benefit.
-        return self._solver.solve(
-            strengthened,
-            timeout=timeout,
-            preprocess=self._preprocessor,
-        )
+        return self._solver.solve(strengthened, timeout=timeout)
 
 
 class CDCLSession(IncrementalSession):

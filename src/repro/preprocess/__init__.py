@@ -11,10 +11,10 @@ so this package sits in front of the whole solver stack:
   old→new variable map and the model :class:`ReconstructionStack`;
 * frozen variables — assumption variables survive untouched, keeping
   incremental sessions and assumption-carrying jobs sound;
-* :func:`preprocess_formula` / :func:`resolve_preprocessor` — the one-shot
-  helper and the normaliser behind every ``preprocess=`` hook
-  (:meth:`repro.solvers.base.SATSolver.solve`,
-  :class:`repro.runtime.SolveJob`, ``repro.cli``);
+* :func:`preprocess_formula` — the one-shot helper. Preprocess-then-solve
+  has one entry point, ``SolveJob(preprocess=True)`` in
+  :mod:`repro.runtime`, which sessions built with
+  ``make_session(spec, preprocess=True)`` run once per query;
 * :func:`inprocess_learned` / :class:`InprocessResult` — the cheap
   restart-boundary variant the CDCL arena kernel runs *during* search:
   learned-clause subsumption and vivification-lite against the root
@@ -42,7 +42,6 @@ from repro.preprocess.pipeline import (
     PreprocessResult,
     PreprocessStats,
     preprocess_formula,
-    resolve_preprocessor,
 )
 from repro.preprocess.reconstruction import (
     BlockedClause,
@@ -67,5 +66,4 @@ __all__ = [
     "ReconstructionStack",
     "inprocess_learned",
     "preprocess_formula",
-    "resolve_preprocessor",
 ]

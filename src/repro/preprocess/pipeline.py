@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.clause import Clause
@@ -657,23 +657,3 @@ def preprocess_formula(
 ) -> PreprocessResult:
     """One-shot convenience wrapper: ``Preprocessor(**options).preprocess(...)``."""
     return Preprocessor(**options).preprocess(formula, frozen=frozen)
-
-
-PreprocessSpec = Union[None, bool, Preprocessor]
-
-
-def resolve_preprocessor(spec: PreprocessSpec) -> Optional[Preprocessor]:
-    """Normalise the ``preprocess=`` argument accepted across the library.
-
-    ``None``/``False`` → no preprocessing; ``True`` → a default-configured
-    :class:`Preprocessor`; a :class:`Preprocessor` instance → itself.
-    """
-    if spec is None or spec is False:
-        return None
-    if spec is True:
-        return Preprocessor()
-    if isinstance(spec, Preprocessor):
-        return spec
-    raise PreprocessError(
-        f"preprocess must be None, a bool or a Preprocessor, got {spec!r}"
-    )

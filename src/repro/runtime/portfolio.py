@@ -163,22 +163,6 @@ class PortfolioSolver:
         """The roster, in race order."""
         return self._contenders
 
-    def make_session(
-        self,
-        base_formula: Optional[CNFFormula] = None,
-        num_variables: int = 0,
-        seed: Optional[int] = None,
-    ):
-        """An incremental session that races this portfolio per query."""
-        from repro.incremental.frontends import PortfolioSession
-
-        return PortfolioSession(
-            self,
-            base_formula=base_formula,
-            num_variables=num_variables,
-            seed=seed,
-        )
-
     def solve(
         self,
         formula: CNFFormula,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
@@ -106,11 +106,6 @@ class SATSolver(abc.ABC):
     name: str = "abstract"
     #: Whether the solver can prove unsatisfiability.
     complete: bool = True
-    #: Default :class:`~repro.preprocess.Preprocessor` applied by
-    #: :meth:`solve` when its ``preprocess`` argument is left at ``None``.
-    #: Set via ``make_solver(name, preprocess=...)`` or directly; stays
-    #: ``None`` (no preprocessing) out of the box.
-    preprocessor = None
     #: Whether the solver emits DRAT proof lines into an attached
     #: :class:`~repro.proofs.ProofLog` (see :meth:`set_proof_log`).
     proof_capable: bool = False
@@ -148,9 +143,7 @@ class SATSolver(abc.ABC):
             error.stats = stats
             raise error
 
-    def make_session(
-        self, base_formula=None, num_variables: int = 0, preprocess=None
-    ):
+    def make_session(self, base_formula=None, num_variables: int = 0):
         """An :class:`~repro.incremental.IncrementalSession` over this solver.
 
         The default implementation is the generic re-solve fallback
@@ -159,27 +152,18 @@ class SATSolver(abc.ABC):
         assumption) and runs :meth:`solve` from scratch. Solvers with native
         incremental state (:class:`~repro.solvers.cdcl.CDCLSolver`) override
         this to retain learned clauses and heuristic scores across calls.
-
-        ``preprocess`` (``True`` or a :class:`~repro.preprocess.Preprocessor`)
-        makes every query of the session run the inprocessing pipeline with
-        the query's assumption variables frozen before solving.
         """
         # Imported lazily: repro.incremental builds on this module.
         from repro.incremental.session import ResolveSession
 
         return ResolveSession(
-            self,
-            base_formula=base_formula,
-            num_variables=num_variables,
-            preprocessor=preprocess,
+            self, base_formula=base_formula, num_variables=num_variables
         )
 
     def solve(
         self,
         formula: CNFFormula,
         timeout: Optional[float] = None,
-        preprocess=None,
-        frozen: Iterable[int] = (),
         proof=None,
     ) -> SolverResult:
         """Solve ``formula``, verify any returned model, and time the run.
@@ -194,24 +178,10 @@ class SATSolver(abc.ABC):
             search loops — so the run may overshoot by one loop iteration.
             An expired budget yields an ``UNKNOWN`` result with
             ``timed_out=True`` rather than an exception.
-        preprocess:
-            ``None`` (default) uses :attr:`preprocessor`; ``False`` forces
-            preprocessing off; ``True`` or a
-            :class:`~repro.preprocess.Preprocessor` runs the inprocessing
-            pipeline first, solves the reduced formula and reconstructs the
-            model over the original variables. A verdict decided during
-            preprocessing is returned without running the search at all —
-            including ``UNSAT`` from an otherwise incomplete solver, since
-            the pipeline's refutation is sound.
-        frozen:
-            Variables preprocessing must not eliminate (only meaningful
-            with ``preprocess``); callers that solve under assumption
-            literals freeze their variables.
         proof:
             A path or :class:`~repro.proofs.ProofLog` to record a DRAT
             proof into for this run. Proof-capable solvers (CDCL) write
-            their derivations; the preprocessing pipeline adds lines for
-            its eliminations; a timed-out run flags the log
+            their derivations; a timed-out run flags the log
             ``incomplete``; and an UNSAT verdict produced by a solver
             that emits no lines is flagged the same way, so a complete
             proof never silently goes missing. A path is opened (and
@@ -219,12 +189,8 @@ class SATSolver(abc.ABC):
         """
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        from repro.preprocess.pipeline import resolve_preprocessor
         from repro.proofs.log import resolve_proof_log
 
-        preprocessor = (
-            self.preprocessor if preprocess is None else resolve_preprocessor(preprocess)
-        )
         proof_log, owns_proof = resolve_proof_log(proof)
         previous_proof = self._proof
         if proof_log is not None:
@@ -243,23 +209,15 @@ class SATSolver(abc.ABC):
                         solver=self.name,
                         variables=formula.num_variables,
                         clauses=formula.num_clauses,
-                        preprocess=preprocessor is not None,
                     )
                 try:
-                    if preprocessor is None:
-                        result = self._solve(formula)
-                        if (
-                            proof_log is not None
-                            and result.status == UNSAT
-                            and not self.proof_capable
-                        ):
-                            proof_log.mark_incomplete(
-                                f"{self.name} emits no proof lines"
-                            )
-                    else:
-                        result = self._solve_preprocessed(
-                            formula, preprocessor, frozen, proof_log=proof_log
-                        )
+                    result = self._solve(formula)
+                    if (
+                        proof_log is not None
+                        and result.status == UNSAT
+                        and not self.proof_capable
+                    ):
+                        proof_log.mark_incomplete(f"{self.name} emits no proof lines")
                 except SolverTimeoutError as exc:
                     stats = getattr(exc, "stats", None) or SolverStats()
                     result = SolverResult(UNKNOWN, None, stats, timed_out=True)
@@ -293,42 +251,6 @@ class SATSolver(abc.ABC):
                 raise RuntimeError(
                     f"{self.name} returned a non-satisfying assignment"
                 )
-        return result
-
-    def _solve_preprocessed(
-        self, formula: CNFFormula, preprocessor, frozen: Iterable[int],
-        proof_log=None,
-    ) -> SolverResult:
-        """Preprocess, search the residual formula, reconstruct the model.
-
-        With a proof log, the pipeline's eliminations are recorded in the
-        original numbering and the residual search writes through a
-        translating view that renames the reduced variables back, so the
-        combined trace checks against the *original* formula.
-        """
-        reduction = preprocessor.preprocess(
-            formula, frozen=frozen, deadline=self._deadline, proof=proof_log
-        )
-        if reduction.status == UNSAT:
-            return SolverResult(UNSAT, None, SolverStats())
-        if reduction.status == SAT:
-            return SolverResult(SAT, reduction.reconstruct(), SolverStats())
-        saved_proof = self._proof
-        if proof_log is not None:
-            inverse = {new: old for old, new in reduction.variable_map.items()}
-            self._proof = proof_log.translated(inverse)
-        try:
-            result = self._solve(reduction.formula)
-        finally:
-            self._proof = saved_proof
-        if (
-            proof_log is not None
-            and result.status == UNSAT
-            and not self.proof_capable
-        ):
-            proof_log.mark_incomplete(f"{self.name} emits no proof lines")
-        if result.is_sat and result.assignment is not None:
-            result.assignment = reduction.reconstruct(result.assignment.as_dict())
         return result
 
     def __repr__(self) -> str:

@@ -316,25 +316,14 @@ class CDCLSolver(SATSolver):
         kernel = self._kernel
         return kernel.root_conflict if kernel is not None else False
 
-    def make_session(
-        self, base_formula=None, num_variables: int = 0, preprocess=None
-    ):
+    def make_session(self, base_formula=None, num_variables: int = 0):
         """A native incremental session over a *fresh* solver clone.
 
         Overrides the generic re-solve fallback of
         :meth:`repro.solvers.base.SATSolver.make_session`: the session keeps
         learned clauses and branching activity across queries instead of
-        restarting from scratch. When ``preprocess`` is requested the
-        generic re-solve session is used instead — per-query preprocessing
-        rewrites the clause database, which is incompatible with retaining
-        native incremental state.
+        restarting from scratch.
         """
-        if preprocess:
-            return super().make_session(
-                base_formula=base_formula,
-                num_variables=num_variables,
-                preprocess=preprocess,
-            )
         from repro.incremental.session import CDCLSession
 
         clone = CDCLSolver(

@@ -74,15 +74,8 @@ def available_solvers() -> list[str]:
     return sorted(_SOLVERS)
 
 
-def make_solver(name: str, preprocess=None, **kwargs) -> SATSolver:
-    """Instantiate a solver by registry name.
-
-    ``preprocess`` (``True`` or a :class:`~repro.preprocess.Preprocessor`)
-    installs the inprocessing pipeline as the solver's default: every
-    :meth:`~repro.solvers.base.SATSolver.solve` call then simplifies the
-    formula first and reconstructs returned models over the original
-    variables. All other keyword arguments go to the solver constructor.
-    """
+def make_solver(name: str, **kwargs) -> SATSolver:
+    """Instantiate a solver by registry name; ``kwargs`` go to its constructor."""
     _ensure_extended_solvers()
     try:
         cls = _SOLVERS[name]
@@ -90,12 +83,7 @@ def make_solver(name: str, preprocess=None, **kwargs) -> SATSolver:
         raise SolverError(
             f"unknown solver {name!r}; available: {available_solvers()}"
         ) from exc
-    solver = cls(**kwargs)
-    if preprocess is not None:
-        from repro.preprocess.pipeline import resolve_preprocessor
-
-        solver.preprocessor = resolve_preprocessor(preprocess)
-    return solver
+    return cls(**kwargs)
 
 
 def _ensure_extended_solvers() -> None:

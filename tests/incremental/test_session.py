@@ -10,7 +10,7 @@ from repro.exceptions import SolverError
 from repro.incremental import (
     CDCLSession,
     IncrementalSession,
-    PortfolioSession,
+    JobSession,
     ResolveSession,
     make_session,
 )
@@ -35,7 +35,7 @@ class TestSessionBasics:
         assert isinstance(make_session("cdcl"), CDCLSession)
         assert isinstance(make_session("dpll"), ResolveSession)
         assert isinstance(make_session("nbl-symbolic"), ResolveSession)
-        assert isinstance(make_session("portfolio"), PortfolioSession)
+        assert isinstance(make_session("portfolio"), JobSession)
 
     def test_solver_make_session_hook(self):
         assert isinstance(CDCLSolver().make_session(), CDCLSession)
@@ -210,14 +210,54 @@ class TestFrontends:
         session = make_session("portfolio", base_formula=simple_formula(), seed=9)
         result = session.solve()
         assert result.is_sat
-        assert session.last_result is not None
-        assert session.last_result.winner
+        assert session.last_outcome is not None
+        assert session.last_outcome.winner
         assert result.solver_name.startswith("portfolio:")
 
     def test_portfolio_solver_make_session(self):
-        from repro.runtime.portfolio import PortfolioSolver
-
-        session = PortfolioSolver().make_session(
-            base_formula=simple_formula(), seed=2
-        )
+        session = make_session("portfolio", base_formula=simple_formula(), seed=2)
         assert session.solve(assumptions=[-1]).is_sat
+
+
+class TestPreprocessingSessions:
+    """``make_session(spec, preprocess=True)`` answers each query as a job."""
+
+    CHAIN = CNFFormula.from_ints([[-4, 5], [-5, 6], [1, 2], [2, 3]], 6)
+
+    def test_every_spec_gets_a_job_session(self):
+        for spec in ("cdcl", "dpll", "nbl-symbolic", "portfolio"):
+            session = make_session(spec, preprocess=True)
+            assert isinstance(session, JobSession)
+            assert session.solver_name == spec
+
+    def test_assumption_variables_are_frozen(self):
+        # PHP(4,3) is UNSAT without any assumption: frozen assumption
+        # variables leave the refutation to the formula, so the core is
+        # empty rather than the assumption set.
+        session = make_session(
+            "cdcl", base_formula=pigeonhole_formula(4, 3), preprocess=True
+        )
+        assert session.solve((1,)).is_unsat
+        assert session.unsat_core() == ()
+
+    def test_nbl_symbolic_session_preprocesses(self):
+        session = make_session(
+            "nbl-symbolic", base_formula=self.CHAIN, preprocess=True
+        )
+        result = session.solve((4,))
+        assert result.is_sat
+        assert result.assignment.as_dict()[6] is True
+        assert session.solve((4, -6)).is_unsat
+        assert set(session.unsat_core()) <= {4, -6}
+        assert session.last_outcome.status == "UNSAT"
+
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(SolverError):
+            make_session("nope", preprocess=True)
+
+    def test_proof_log_rejected(self):
+        from repro.proofs import ProofLog
+
+        session = make_session("cdcl", preprocess=True)
+        with pytest.raises(SolverError):
+            session.set_proof_log(ProofLog())

@@ -12,7 +12,6 @@ from repro.preprocess import (
     ClauseDatabase,
     Preprocessor,
     preprocess_formula,
-    resolve_preprocessor,
 )
 
 
@@ -216,15 +215,6 @@ class TestResultAndConfig:
         with pytest.raises(PreprocessError):
             Preprocessor(**kwargs)
 
-    def test_resolve_preprocessor_spellings(self):
-        assert resolve_preprocessor(None) is None
-        assert resolve_preprocessor(False) is None
-        assert isinstance(resolve_preprocessor(True), Preprocessor)
-        custom = Preprocessor(max_rounds=3)
-        assert resolve_preprocessor(custom) is custom
-        with pytest.raises(PreprocessError):
-            resolve_preprocessor("yes")
-
     def test_reconstruct_rejects_unknown_reduced_variable(self):
         formula = CNFFormula.from_ints([[1, 2], [-1, 2], [1, -2]])
         result = preprocess_formula(formula, techniques=["subsumption"])
@@ -315,12 +305,14 @@ class TestDeadline:
         assert formula.evaluate(model.as_dict())
 
     def test_solver_timeout_bounds_preprocessing(self):
-        # solve(timeout=...) forwards its deadline into the pipeline: a
+        # A job's timeout forwards its deadline into the pipeline: a
         # pathological budget must not hang in preprocessing (and the
         # result is UNKNOWN/timed_out or a genuine verdict, never a crash).
         from repro.cnf.generators import random_ksat
-        from repro.solvers.cdcl import CDCLSolver
+        from repro.runtime import SolveJob, execute_job
 
         formula = random_ksat(30, 120, 3, seed=6)
-        result = CDCLSolver().solve(formula, timeout=1e-6, preprocess=True)
-        assert result.status in ("SAT", "UNSAT", "UNKNOWN")
+        outcome = execute_job(
+            SolveJob(formula=formula, solver="cdcl", timeout=1e-6, preprocess=True)
+        )
+        assert outcome.status in ("SAT", "UNSAT", "UNKNOWN")

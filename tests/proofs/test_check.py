@@ -151,14 +151,16 @@ class TestEndToEnd:
         verdict = check_proof(formula, log.text())
         assert verdict, verdict.reason
 
-    def test_preprocessed_cdcl_proof_roundtrip(self):
-        from repro.solvers.registry import make_solver
+    def test_preprocessed_cdcl_proof_roundtrip(self, tmp_path):
+        from repro.runtime import SolveJob, execute_job
 
         formula = pigeonhole_formula(5, 4)
-        log = ProofLog()
-        result = make_solver("cdcl").solve(formula, preprocess=True, proof=log)
-        assert result.is_unsat
-        verdict = check_proof(formula, log.text())
+        path = str(tmp_path / "php.drat")
+        outcome = execute_job(
+            SolveJob(formula=formula, solver="cdcl", preprocess=True, proof=path)
+        )
+        assert outcome.status == "UNSAT"
+        verdict = check_proof_file(formula, path)
         assert verdict, verdict.reason
 
     def test_corrupted_real_proof_rejects(self):

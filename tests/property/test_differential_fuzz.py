@@ -231,16 +231,17 @@ def test_nbl_symbolic_session_agrees(seed):
             )
 
 
-def test_unsat_verdicts_are_proof_checked(seed):
+def test_unsat_verdicts_are_proof_checked(seed, tmp_path):
     """Every CDCL UNSAT verdict ships a checker-accepted DRAT proof.
 
     Both execution paths are covered per UNSAT formula — solving the
-    original directly and solving through the preprocessing pipeline
-    (whose elimination lines must splice soundly in front of the
-    translated residual derivation) — for ≥200 proof-checked verdicts
-    with zero rejections.
+    original directly and solving as a preprocessing job (whose
+    elimination lines must splice soundly in front of the translated
+    residual derivation) — for ≥200 proof-checked verdicts with zero
+    rejections.
     """
-    from repro.proofs import ProofLog, check_proof
+    from repro.proofs import ProofLog, check_proof, check_proof_file
+    from repro.runtime import SolveJob, execute_job
 
     solver = make_solver("cdcl")
     corpus = _full_corpus(seed) + _unsat_dense_corpus(seed + 5, 110)
@@ -253,14 +254,14 @@ def test_unsat_verdicts_are_proof_checked(seed):
         verdict = check_proof(formula, direct_log.text())
         assert verdict, f"{label} direct proof rejected: {verdict.reason}"
         checked += 1
-        preprocessed_log = ProofLog()
-        preprocessed = solver.solve(
-            formula, preprocess=True, proof=preprocessed_log
+        proof_path = str(tmp_path / "preprocessed.drat")
+        preprocessed = execute_job(
+            SolveJob(formula=formula, solver="cdcl", preprocess=True, proof=proof_path)
         )
-        assert preprocessed.is_unsat, (
+        assert preprocessed.status == "UNSAT", (
             f"{label}: preprocessed path disagrees with direct UNSAT"
         )
-        verdict = check_proof(formula, preprocessed_log.text())
+        verdict = check_proof_file(formula, proof_path)
         assert verdict, f"{label} preprocessed proof rejected: {verdict.reason}"
         checked += 1
     assert checked >= 200, f"only {checked} proof-checked UNSAT verdicts"

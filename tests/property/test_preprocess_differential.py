@@ -5,9 +5,9 @@ harness: on the same ≥200-formula seeded corpus, the
 ``preprocess → solve reduced → reconstruct model`` route must agree with
 brute-force ground truth for every registered complete solver, including
 the instances preprocessing decides outright (the corpus provably
-contains UNSAT-detected-during-preprocessing cases). Incremental
-re-solve sessions with per-query preprocessing are checked against fresh
-solves under random assumption sets as well.
+contains UNSAT-detected-during-preprocessing cases). Preprocessing jobs,
+and incremental sessions that run one per query, are checked against
+fresh solves under random assumption sets as well.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import pytest
 
 from repro.cnf.formula import CNFFormula
 from repro.cnf.paper_instances import section4_unsat_instance
+from repro.incremental import make_session
 from repro.preprocess import Preprocessor, preprocess_formula
+from repro.runtime import SolveJob, execute_job
 from repro.solvers.brute_force import BruteForceSolver
 from repro.solvers.registry import make_solver
 
@@ -77,34 +79,36 @@ def test_preprocess_solve_reconstruct_agrees_with_direct_solve(seed):
 
 
 def test_solver_preprocess_hook_agrees(seed):
-    """`solver.solve(formula, preprocess=True)` ≡ plain solve, per solver."""
+    """`SolveJob(preprocess=True)` ≡ plain solve, per solver."""
     corpus = _full_corpus(seed, count=48)
     brute = BruteForceSolver()
     for name in COMPLETE_SOLVERS:
-        hooked = make_solver(name, preprocess=True)
         for label, formula in corpus:
             truth = brute.solve(formula)
-            result = hooked.solve(formula)
-            assert result.status == truth.status, (
-                f"{label}: {name} with preprocess=True says {result.status}, "
+            outcome = execute_job(
+                SolveJob(formula=formula, solver=name, preprocess=True)
+            )
+            assert outcome.status == truth.status, (
+                f"{label}: {name} with preprocess=True says {outcome.status}, "
                 f"brute force says {truth.status}"
             )
-            if result.is_sat:
-                assert formula.evaluate(result.assignment.as_dict())
+            if outcome.status == "SAT":
+                assert formula.evaluate(outcome.assignment_dict())
 
 
 def test_stochastic_solver_never_wrong_with_preprocessing(seed):
     """WalkSAT + pipeline: SAT answers carry real models, UNSAT only from
     the pipeline's (sound) refutation."""
     brute = BruteForceSolver()
-    solver = make_solver("walksat", max_flips=300, max_tries=2, seed=seed)
     for label, formula in _full_corpus(seed, count=40):
         truth = brute.solve(formula)
-        result = solver.solve(formula, preprocess=True)
-        if result.is_sat:
+        outcome = execute_job(
+            SolveJob(formula=formula, solver="walksat", seed=seed, preprocess=True)
+        )
+        if outcome.status == "SAT":
             assert truth.is_sat, f"{label}: walksat SAT on UNSAT instance"
-            assert formula.evaluate(result.assignment.as_dict())
-        elif result.is_unsat:
+            assert formula.evaluate(outcome.assignment_dict())
+        elif outcome.status == "UNSAT":
             assert truth.is_unsat, (
                 f"{label}: preprocessing refuted a satisfiable formula"
             )
@@ -116,9 +120,7 @@ def test_preprocessed_sessions_agree_under_assumptions(seed):
     corpus = _full_corpus(seed, count=45)[::3]
     brute = BruteForceSolver()
     for label, formula in corpus:
-        session = make_solver("cdcl").make_session(
-            base_formula=formula, preprocess=True
-        )
+        session = make_session("cdcl", base_formula=formula, preprocess=True)
         for assumptions in _random_assumption_sets(formula, rng):
             truth = brute.solve(formula.with_assumptions(assumptions))
             result = session.solve(assumptions=assumptions)
@@ -149,15 +151,16 @@ def test_preprocess_differential_extended(seed):
 
     iterations = int(os.environ.get("REPRO_FUZZ_ITERATIONS", "1000")) // 2
     brute = BruteForceSolver()
-    cdcl = make_solver("cdcl", preprocess=True)
     from test_differential_fuzz import _random_corpus
 
     for label, formula in _random_corpus(seed + 9, iterations, max_vars=11):
         truth = brute.solve(formula)
-        result = cdcl.solve(formula)
-        assert result.status == truth.status, (
-            f"{label}: preprocessed cdcl says {result.status}, "
+        outcome = execute_job(
+            SolveJob(formula=formula, solver="cdcl", preprocess=True)
+        )
+        assert outcome.status == truth.status, (
+            f"{label}: preprocessed cdcl says {outcome.status}, "
             f"brute force says {truth.status}"
         )
-        if result.is_sat:
-            assert formula.evaluate(result.assignment.as_dict())
+        if outcome.status == "SAT":
+            assert formula.evaluate(outcome.assignment_dict())

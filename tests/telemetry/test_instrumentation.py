@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.cnf.generators import random_ksat
 from repro.cnf.structured import pigeonhole_formula
-from repro.runtime import BatchRunner, ResultCache
+from repro.runtime import BatchRunner, ResultCache, SolveJob, execute_job
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.dpll import DPLLSolver
 from repro.solvers.walksat import WalkSATSolver
@@ -55,12 +55,13 @@ class TestSolverSpans:
         assert propagates  # the search loop always propagates at least once
         assert any(span.attributes.get("conflict") for span in propagates)
 
-    def test_preprocess_span_nests_inside_solve(self):
+    def test_preprocess_span_nests_inside_pool_task(self):
         tracer = start_tracing()
-        CDCLSolver().solve(random_ksat(12, 40, seed=2), preprocess=True)
+        formula = random_ksat(12, 40, seed=2)
+        execute_job(SolveJob(formula=formula, solver="cdcl", preprocess=True))
         stop_tracing()
         (root,) = tracer.finished
-        assert root.name == "solve"
+        assert root.name == "pool.task"
         assert "preprocess" in [child.name for child in root.children]
 
     def test_restart_events_from_local_search(self):

@@ -308,13 +308,13 @@ class TestIncrementalCommand:
         assert out.count("s SATISFIABLE") == 1
         assert out.count("s UNSATISFIABLE") == 1
 
-    def test_preprocess_flag_rejected_for_nbl_spec(self, tmp_path, capsys):
+    def test_preprocess_flag_works_for_nbl_spec(self, tmp_path, capsys):
         script = self._write_script(tmp_path, "add 1 0\nsolve\n")
         code = main(
             ["incremental", script, "--solver", "nbl-symbolic", "--preprocess"]
         )
-        assert code == 1
-        assert "preprocess" in capsys.readouterr().err
+        assert code == 0
+        assert "s SATISFIABLE" in capsys.readouterr().out
 
 
 class TestTelemetryFlags:
