@@ -128,7 +128,7 @@ def compile_nbl_sat_netlist(
     clause_wires: list[str] = []
     for clause_index, clause in enumerate(formula, start=1):
         z_wire = f"Z_c{clause_index}"
-        if clause.is_empty:
+        if not clause:
             # Empty clause: its superposition is identically zero.
             netlist.add(ConstantBlock(name=f"const_{z_wire}", output=z_wire, value=0.0))
             clause_wires.append(z_wire)

@@ -812,10 +812,7 @@ def _run_incremental(args: argparse.Namespace) -> int:
                 }.get(result.status, result.status)
                 print(f"s {verdict}")
                 if args.models and result.is_sat:
-                    lits = " ".join(
-                        str(lit.to_int())
-                        for lit in result.assignment.to_literals()
-                    )
+                    lits = " ".join(map(str, result.assignment.to_literals()))
                     print(f"v {lits} 0")
             else:
                 raise ValueError(
@@ -1260,7 +1257,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 print("SATISFIABLE")
                 print(
                     "v",
-                    " ".join(str(lit.to_int()) for lit in model.to_literals()),
+                    " ".join(map(str, model.to_literals())),
                     "0",
                 )
                 print("c checks=0 verified=True (decided in preprocessing)")
@@ -1280,7 +1277,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if reduction is not None:
         assignment = reduction.reconstruct(assignment.as_dict())
     print("SATISFIABLE")
-    print("v", " ".join(str(lit.to_int()) for lit in assignment.to_literals()), "0")
+    print("v", " ".join(map(str, assignment.to_literals())), "0")
     print(f"c checks={solution.num_checks} verified={solution.verified}")
     return 10
 

@@ -1,14 +1,12 @@
-"""CNF substrate: literals, clauses, formulas, I/O and instance generators.
+"""CNF substrate: formulas, assignments, I/O and instance generators.
 
 This subpackage is the Boolean-side foundation of the library. Every engine
 (the NBL-SAT engines, the baseline solvers, the analog compiler) consumes
-:class:`~repro.cnf.formula.CNFFormula` objects built from
-:class:`~repro.cnf.literal.Literal` and :class:`~repro.cnf.clause.Clause`.
+:class:`~repro.cnf.formula.CNFFormula` objects, whose clauses are canonical
+tuples of DIMACS-signed ints (``3`` is ``x3``, ``-3`` is ``~x3``).
 """
 
-from repro.cnf.literal import Literal
-from repro.cnf.clause import Clause
-from repro.cnf.formula import CNFFormula
+from repro.cnf.formula import CNFFormula, evaluate_clause
 from repro.cnf.assignment import Assignment
 from repro.cnf.dimacs import (
     parse_dimacs,
@@ -17,7 +15,6 @@ from repro.cnf.dimacs import (
     write_dimacs_file,
 )
 from repro.cnf.evaluate import (
-    evaluate_clause,
     evaluate_formula,
     count_models,
     enumerate_models,
@@ -46,8 +43,6 @@ from repro.cnf.paper_instances import (
 )
 
 __all__ = [
-    "Literal",
-    "Clause",
     "CNFFormula",
     "Assignment",
     "parse_dimacs",

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from repro.cnf.literal import Literal
+from repro.cnf.formula import canonical_clause, format_literal
 from repro.exceptions import AssignmentError
 
 
@@ -53,12 +53,16 @@ class Assignment:
         return assignment
 
     @classmethod
-    def from_literals(cls, literals: Iterable[Union[Literal, int]]) -> "Assignment":
-        """Build an assignment that makes every listed literal true."""
+    def from_literals(cls, literals: Iterable[int]) -> "Assignment":
+        """Build an assignment that makes every listed DIMACS literal true.
+
+        Raises :class:`~repro.exceptions.CNFError` for an invalid literal
+        (``0`` or a non-int) and :class:`AssignmentError` when the list
+        holds both ``v`` and ``-v``.
+        """
         assignment = cls()
-        for lit in literals:
-            literal = lit if isinstance(lit, Literal) else Literal.from_int(lit)
-            assignment._set(literal.variable, literal.positive)
+        for lit in canonical_clause(literals):
+            assignment._set(abs(lit), lit > 0)
         return assignment
 
     @classmethod
@@ -138,16 +142,17 @@ class Assignment:
             new._set(var, val)
         return new
 
-    def satisfies_literal(self, literal: Literal) -> Optional[bool]:
-        """Truth value of ``literal`` under this assignment, ``None`` if free."""
-        value = self._values.get(literal.variable)
+    def satisfies_literal(self, literal: int) -> Optional[bool]:
+        """Truth value of a DIMACS ``literal`` under this assignment, ``None``
+        if its variable is free."""
+        value = self._values.get(abs(literal))
         if value is None:
             return None
-        return literal.evaluate(value)
+        return value == (literal > 0)
 
-    def to_literals(self) -> list[Literal]:
-        """The assignment as a list of true literals (cube form)."""
-        return [Literal(var, val) for var, val in self.items()]
+    def to_literals(self) -> list[int]:
+        """The assignment as DIMACS literals that are true (cube form)."""
+        return [var if val else -var for var, val in self.items()]
 
     def to_minterm_index(self, num_variables: int) -> int:
         """Encode a complete assignment as a minterm index (see above)."""
@@ -164,7 +169,7 @@ class Assignment:
     def __str__(self) -> str:
         if not self._values:
             return "(empty assignment)"
-        return " ".join(str(lit) for lit in self.to_literals())
+        return " ".join(map(format_literal, self.to_literals()))
 
     def __repr__(self) -> str:
         return f"Assignment({self._values!r})"

@@ -113,7 +113,7 @@ def to_dimacs(formula: CNFFormula, comments: Iterable[str] = ()) -> str:
     lines = [f"c {comment}" for comment in comments]
     lines.append(f"p cnf {formula.num_variables} {formula.num_clauses}")
     for clause in formula:
-        lines.append(" ".join(str(v) for v in clause.to_ints()) + " 0")
+        lines.append(" ".join(map(str, clause)) + " 0")
     return "\n".join(lines) + "\n"
 
 

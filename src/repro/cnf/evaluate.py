@@ -8,22 +8,16 @@ instances) and power the exact/symbolic engine in :mod:`repro.core.symbolic`.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.clause import Clause
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import CNFError
 
 #: Enumerating more variables than this would allocate > 2^26 bytes per mask.
 MAX_ENUMERATION_VARIABLES = 26
-
-
-def evaluate_clause(clause: Clause, assignment: Mapping[int, bool]) -> bool:
-    """Evaluate a single clause under a complete assignment."""
-    return clause.evaluate(assignment)
 
 
 def evaluate_formula(formula: CNFFormula, assignment: Mapping[int, bool]) -> bool:
@@ -39,7 +33,7 @@ def _check_enumerable(num_variables: int) -> None:
         )
 
 
-def clause_minterm_mask(clause: Clause, num_variables: int) -> np.ndarray:
+def clause_minterm_mask(clause: Iterable[int], num_variables: int) -> np.ndarray:
     """Boolean vector of length ``2^num_variables``: which minterms satisfy ``clause``.
 
     Minterm index bit ``i`` holds the value of variable ``i + 1`` (the
@@ -51,8 +45,8 @@ def clause_minterm_mask(clause: Clause, num_variables: int) -> np.ndarray:
     indices = np.arange(size, dtype=np.uint32)
     satisfied = np.zeros(size, dtype=bool)
     for lit in clause:
-        bit = (indices >> np.uint32(lit.variable - 1)) & np.uint32(1)
-        satisfied |= bit.astype(bool) if lit.positive else ~bit.astype(bool)
+        bit = (indices >> np.uint32(abs(lit) - 1)) & np.uint32(1)
+        satisfied |= bit.astype(bool) if lit > 0 else ~bit.astype(bool)
     return satisfied
 
 

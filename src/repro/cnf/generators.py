@@ -18,9 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.clause import Clause
-from repro.cnf.formula import CNFFormula
-from repro.cnf.literal import Literal
+from repro.cnf.formula import CNFFormula, evaluate_clause
 from repro.exceptions import CNFError
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
@@ -34,7 +32,7 @@ def _random_clause(
     k: int,
     rng: np.random.Generator,
     forbid_satisfying: Optional[Assignment] = None,
-) -> Clause:
+) -> list[int]:
     """Draw one k-clause over distinct variables with random polarities.
 
     When ``forbid_satisfying`` is given, the clause is redrawn (polarity-wise)
@@ -44,11 +42,10 @@ def _random_clause(
     variables = rng.choice(num_variables, size=k, replace=False) + 1
     while True:
         polarities = rng.integers(0, 2, size=k).astype(bool)
-        literals = [Literal(int(v), bool(p)) for v, p in zip(variables, polarities)]
-        clause = Clause(literals)
+        clause = [int(v) if p else -int(v) for v, p in zip(variables, polarities)]
         if forbid_satisfying is None:
             return clause
-        if clause.evaluate(forbid_satisfying.as_dict()):
+        if evaluate_clause(clause, forbid_satisfying):
             return clause
 
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from repro.cnf.clause import Clause
 from repro.cnf.formula import CNFFormula
-from repro.cnf.literal import Literal
 from repro.exceptions import CNFError
 from repro.utils.validation import check_nonnegative_int, check_positive_int
 
@@ -37,14 +35,12 @@ def pigeonhole_formula(pigeons: int, holes: int) -> CNFFormula:
     def var(i: int, j: int) -> int:
         return (i - 1) * holes + j
 
-    clauses: list[Clause] = []
+    clauses: list[list[int]] = []
     for i in range(1, pigeons + 1):
-        clauses.append(Clause([Literal(var(i, j)) for j in range(1, holes + 1)]))
+        clauses.append([var(i, j) for j in range(1, holes + 1)])
     for j in range(1, holes + 1):
         for i1, i2 in itertools.combinations(range(1, pigeons + 1), 2):
-            clauses.append(
-                Clause([Literal(var(i1, j), False), Literal(var(i2, j), False)])
-            )
+            clauses.append([-var(i1, j), -var(i2, j)])
     return CNFFormula(clauses, pigeons * holes)
 
 
@@ -82,22 +78,18 @@ def graph_coloring_formula(
     def var(vertex: int, color: int) -> int:
         return vertex * num_colors + color + 1
 
-    clauses: list[Clause] = []
+    clauses: list[list[int]] = []
     for vertex in range(num_vertices):
-        clauses.append(Clause([Literal(var(vertex, c)) for c in range(num_colors)]))
+        clauses.append([var(vertex, c) for c in range(num_colors)])
         for c1, c2 in itertools.combinations(range(num_colors), 2):
-            clauses.append(
-                Clause([Literal(var(vertex, c1), False), Literal(var(vertex, c2), False)])
-            )
+            clauses.append([-var(vertex, c1), -var(vertex, c2)])
     for u, v in edges:
         if not (0 <= u < num_vertices and 0 <= v < num_vertices):
             raise CNFError(f"edge ({u}, {v}) references a vertex out of range")
         if u == v:
             raise CNFError(f"self-loop ({u}, {v}) cannot be properly coloured")
         for c in range(num_colors):
-            clauses.append(
-                Clause([Literal(var(u, c), False), Literal(var(v, c), False)])
-            )
+            clauses.append([-var(u, c), -var(v, c)])
     return CNFFormula(clauses, num_vertices * num_colors)
 
 
@@ -114,18 +106,13 @@ def parity_chain_formula(num_variables: int, parity: int = 1) -> CNFFormula:
     if parity not in (0, 1):
         raise CNFError(f"parity must be 0 or 1, got {parity}")
 
-    clauses: list[Clause] = []
+    clauses: list[list[int]] = []
     for bits in itertools.product((0, 1), repeat=num_variables):
         if sum(bits) % 2 != parity:
             # Forbid this assignment: the clause is the disjunction of the
             # complemented literals of the assignment.
             clauses.append(
-                Clause(
-                    [
-                        Literal(i + 1, not bool(bit))
-                        for i, bit in enumerate(bits)
-                    ]
-                )
+                [-(i + 1) if bit else i + 1 for i, bit in enumerate(bits)]
             )
     return CNFFormula(clauses, num_variables)
 
@@ -133,10 +120,10 @@ def parity_chain_formula(num_variables: int, parity: int = 1) -> CNFFormula:
 def all_equal_formula(num_variables: int) -> CNFFormula:
     """CNF asserting all variables take the same value (2 models)."""
     check_positive_int(num_variables, "num_variables")
-    clauses: list[Clause] = []
+    clauses: list[list[int]] = []
     for i in range(1, num_variables):
-        clauses.append(Clause([Literal(i, False), Literal(i + 1, True)]))
-        clauses.append(Clause([Literal(i, True), Literal(i + 1, False)]))
+        clauses.append([-i, i + 1])
+        clauses.append([i, -(i + 1)])
     if num_variables == 1:
         return CNFFormula([], 1)
     return CNFFormula(clauses, num_variables)

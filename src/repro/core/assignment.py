@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional, Protocol
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.formula import CNFFormula
+from repro.cnf.formula import CNFFormula, is_tautology
 from repro.core.config import NBLConfig
 from repro.core.checker import make_engine
 from repro.core.result import AssignmentResult, CheckResult
@@ -203,7 +203,7 @@ def _is_implicant(formula: CNFFormula, bindings: dict[int, bool]) -> bool:
         residual = residual.condition(variable, value)
     if residual.has_empty_clause():
         return False
-    return all(clause.is_tautology() for clause in residual)
+    return all(map(is_tautology, residual))
 
 
 def find_prime_implicant_cube(

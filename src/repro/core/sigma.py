@@ -54,11 +54,10 @@ def falsifying_cube_bindings(clause) -> dict[int, bool] | None:
     empty and nothing has to be subtracted from the full superposition.
     """
     bindings: dict[int, bool] = {}
-    for literal in clause:
-        required = not literal.positive
-        if bindings.get(literal.variable, required) != required:
+    for lit in clause:
+        required = lit < 0
+        if bindings.setdefault(abs(lit), required) != required:
             return None
-        bindings[literal.variable] = required
     return bindings
 
 
@@ -71,7 +70,7 @@ def clause_superposition_samples(
     satisfying minterm appears exactly once (see the module docstring).
     """
     clause = formula.clauses[clause_index - 1]
-    if clause.is_empty:
+    if not clause:
         # An empty clause has no satisfying minterm: its superposition is the
         # zero signal, which correctly forces Σ_N (and hence S_N) to zero.
         return np.zeros(block.shape[-1], dtype=np.float64)
@@ -126,7 +125,7 @@ class SigmaPlan:
             num_variables=formula.num_variables,
             cube_rows=tuple(cube_rows),
             tautologies=np.asarray(tautologies, dtype=np.intp),
-            has_empty_clause=any(clause.is_empty for clause in formula.clauses),
+            has_empty_clause=formula.has_empty_clause(),
         )
 
 

@@ -91,8 +91,8 @@ class NBLGuidance:
     def _candidate_variables(self, formula: CNFFormula) -> list[int]:
         counts: Dict[int, int] = {}
         for clause in formula:
-            for literal in clause:
-                counts[literal.variable] = counts.get(literal.variable, 0) + 1
+            for lit in clause:
+                counts[abs(lit)] = counts.get(abs(lit), 0) + 1
         ranked = sorted(counts, key=lambda v: (-counts[v], v))
         return ranked[: self._top_variables]
 

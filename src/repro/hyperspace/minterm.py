@@ -19,8 +19,6 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.clause import Clause
-from repro.cnf.literal import Literal
 from repro.exceptions import HyperspaceError
 
 #: Guard against accidentally allocating gigantic masks.
@@ -133,13 +131,15 @@ class MintermSet:
         return cls(num_variables, cube_minterms(bindings, num_variables))
 
     @classmethod
-    def from_literal(cls, num_variables: int, literal: Literal) -> "MintermSet":
-        """All minterms in which ``literal`` is true (cube of one literal)."""
-        return cls.from_cube(num_variables, {literal.variable: literal.positive})
+    def from_literal(cls, num_variables: int, literal: int) -> "MintermSet":
+        """All minterms in which the DIMACS ``literal`` is true (cube of one
+        literal)."""
+        return cls.from_cube(num_variables, {abs(literal): literal > 0})
 
     @classmethod
-    def from_clause(cls, num_variables: int, clause: Clause) -> "MintermSet":
-        """All minterms satisfying ``clause`` — the ``Z_j`` superposition."""
+    def from_clause(cls, num_variables: int, clause: Iterable[int]) -> "MintermSet":
+        """All minterms satisfying ``clause`` (DIMACS literals) — the ``Z_j``
+        superposition."""
         result = cls.empty(num_variables)
         for literal in clause:
             result = result | cls.from_literal(num_variables, literal)

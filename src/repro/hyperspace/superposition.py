@@ -23,7 +23,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.cnf.literal import Literal
 from repro.exceptions import HyperspaceError
 from repro.noise.bank import NEGATIVE, POSITIVE
 
@@ -92,12 +91,10 @@ def clause_cube_subspace(
 
 
 def clause_literal_subspace(
-    block: np.ndarray, clause: int, literal: Literal
+    block: np.ndarray, clause: int, literal: int
 ) -> np.ndarray:
-    """``T^clause_v`` for one literal ``v`` — the building block of Σ_N."""
-    return clause_cube_subspace(
-        block, clause, {literal.variable: literal.positive}
-    )
+    """``T^clause_v`` for one DIMACS literal ``v`` — the building block of Σ_N."""
+    return clause_cube_subspace(block, clause, {abs(literal): literal > 0})
 
 
 def minterm_noise_product(

@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import abc
 import contextlib
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from repro.cnf.clause import Clause
-from repro.cnf.formula import ClauseLike, CNFFormula
+from repro.cnf.formula import CNFFormula, canonical_clause
 from repro.exceptions import SolverError
 from repro.solvers.base import (
     SATSolver,
@@ -89,7 +88,7 @@ class IncrementalSession(abc.ABC):
             raise SolverError(
                 f"num_variables must be non-negative, got {num_variables}"
             )
-        self._clauses: list[Clause] = []
+        self._clauses: list[tuple[int, ...]] = []
         self._marks: list[int] = []
         self._num_variables = int(num_variables)
         self._total_stats = SolverStats()
@@ -130,15 +129,15 @@ class IncrementalSession(abc.ABC):
         return CNFFormula(list(self._clauses), self._num_variables)
 
     # -- building the problem --------------------------------------------------
-    def add_clause(self, clause: ClauseLike) -> None:
-        """Assert one clause (a :class:`Clause` or iterable of literals)."""
-        coerced = clause if isinstance(clause, Clause) else Clause(clause)
-        max_var = max((lit.variable for lit in coerced), default=0)
+    def add_clause(self, clause: Iterable[int]) -> None:
+        """Assert one clause (an iterable of DIMACS-signed ints)."""
+        canonical = canonical_clause(clause)
+        max_var = abs(canonical[-1]) if canonical else 0
         if max_var > self._num_variables:
             self._num_variables = max_var
             self._sync_variables()
-        self._clauses.append(coerced)
-        self._clause_added(coerced)
+        self._clauses.append(canonical)
+        self._clause_added(canonical)
 
     def add_formula(self, formula: CNFFormula) -> None:
         """Assert every clause of ``formula`` (growing the universe first)."""
@@ -263,10 +262,10 @@ class IncrementalSession(abc.ABC):
     ) -> SolverResult:
         """Strategy-specific solving of the current clause set."""
 
-    def _clause_added(self, clause: Clause) -> None:
+    def _clause_added(self, clause: tuple[int, ...]) -> None:
         """Called after each clause lands in the ledger."""
 
-    def _clauses_retracted(self, removed: list[Clause]) -> None:
+    def _clauses_retracted(self, removed: list[tuple[int, ...]]) -> None:
         """Called after ``pop`` removed ``removed`` from the ledger."""
 
     def _sync_variables(self) -> None:
@@ -421,11 +420,10 @@ class CDCLSession(IncrementalSession):
     def _sync_variables(self) -> None:
         self._solver.ensure_variables(self._num_variables)
 
-    def _clause_added(self, clause: Clause) -> None:
-        if not clause.is_tautology():
-            self._solver.attach_clause(clause.to_ints())
+    def _clause_added(self, clause: tuple[int, ...]) -> None:
+        self._solver.attach_clause(clause)
 
-    def _clauses_retracted(self, removed: list[Clause]) -> None:
+    def _clauses_retracted(self, removed: list[tuple[int, ...]]) -> None:
         # Learned clauses are consequences of the *whole* database, possibly
         # including the retracted clauses — only a rebuild from the
         # survivors is sound. VSIDS activities carry over, so the rebuilt
@@ -433,8 +431,7 @@ class CDCLSession(IncrementalSession):
         self._solver.reset_clauses(keep_activity=True)
         self._solver.ensure_variables(self._num_variables)
         for clause in self._clauses:
-            if not clause.is_tautology():
-                self._solver.attach_clause(clause.to_ints())
+            self._solver.attach_clause(clause)
 
     def _solve(
         self, assumptions: tuple[int, ...], timeout: Optional[float]

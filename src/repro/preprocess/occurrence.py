@@ -45,12 +45,8 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Dict, Iterable, Iterator, Optional, Set
 
-from repro.cnf.formula import CNFFormula
+from repro.cnf.formula import CNFFormula, is_tautology
 from repro.exceptions import PreprocessError
-
-
-def _is_tautology(literals: frozenset[int]) -> bool:
-    return any(-lit in literals for lit in literals)
 
 
 class ClauseDatabase:
@@ -91,14 +87,12 @@ class ClauseDatabase:
         clauses = db._clauses
         occ = db._occ
         tautologies = 0
-        # One pass, without add()'s checks: Literal already validated
+        # One pass, without add()'s checks: the formula already validated
         # every literal, and the first pass examines everything, so the
         # load records no changes.
         for clause in formula:
-            lits = frozenset(
-                [lit.variable if lit.positive else -lit.variable for lit in clause]
-            )
-            if _is_tautology(lits):
+            lits = frozenset(clause)
+            if is_tautology(lits):
                 tautologies += 1
                 continue
             cid = len(clauses)
@@ -156,7 +150,7 @@ class ClauseDatabase:
         lits = frozenset(int(lit) for lit in literals)
         if any(lit == 0 for lit in lits):
             raise PreprocessError("0 is not a valid clause literal")
-        if _is_tautology(lits):
+        if is_tautology(lits):
             return None
         cid = len(self._clauses)
         self._clauses.append(lits)

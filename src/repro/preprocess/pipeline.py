@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.clause import Clause
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import PreprocessError
 from repro.preprocess.occurrence import ClauseDatabase
@@ -621,7 +620,7 @@ class Preprocessor:
         conflict: bool,
     ) -> PreprocessResult:
         if conflict:
-            reduced = CNFFormula([Clause([])], 0)
+            reduced = CNFFormula([()], 0)
             stats.reduced_variables = 0
             stats.reduced_clauses = 1
             stats.reduced_literals = 0
@@ -631,15 +630,7 @@ class Preprocessor:
         survivors = sorted(db.variables() | frozen)
         variable_map = {old: new for new, old in enumerate(survivors, start=1)}
         clauses = [
-            Clause.from_ints(
-                sorted(
-                    (
-                        variable_map[abs(lit)] if lit > 0 else -variable_map[abs(lit)]
-                        for lit in literals
-                    ),
-                    key=abs,
-                )
-            )
+            [variable_map[lit] if lit > 0 else -variable_map[-lit] for lit in literals]
             for literals in db.iter_clauses()
         ]
         reduced = CNFFormula(clauses, len(survivors))

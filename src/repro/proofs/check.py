@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional, Sequence, Union
 
-from repro.cnf.formula import CNFFormula
+from repro.cnf.formula import CNFFormula, is_tautology
 from repro.exceptions import ProofError
 
 __all__ = [
@@ -240,11 +240,6 @@ def _rup(clauses: _ClauseSet, literals: Sequence[int]) -> bool:
     return _propagate(clauses, assignment, queue)
 
 
-def _is_tautology(literals: Iterable[int]) -> bool:
-    seen = set(literals)
-    return any(-lit in seen for lit in seen)
-
-
 def _rat(clauses: _ClauseSet, literals: Sequence[int]) -> bool:
     """RAT check on the first literal of ``literals`` (the DRAT pivot)."""
     if not literals:
@@ -256,7 +251,7 @@ def _rat(clauses: _ClauseSet, literals: Sequence[int]) -> bool:
         if clause is None:
             continue
         resolvent = base + [lit for lit in clause if lit != -pivot]
-        if _is_tautology(resolvent):
+        if is_tautology(resolvent):
             continue
         if not _rup(clauses, resolvent):
             return False
@@ -307,8 +302,7 @@ def _check_steps(
     formula: CNFFormula, steps: Sequence[ProofStep], incomplete: bool
 ) -> CheckResult:
     active = _ClauseSet()
-    for clause in formula.clauses:
-        literals = tuple(lit.to_int() for lit in clause.literals)
+    for literals in formula.clauses:
         if not literals:
             # The formula already contains the empty clause: trivially UNSAT.
             return CheckResult(
@@ -317,7 +311,7 @@ def _check_steps(
                 reason="formula contains the empty clause",
                 incomplete=incomplete,
             )
-        if _is_tautology(literals):
+        if is_tautology(literals):
             continue
         active.add(literals)
 
@@ -354,7 +348,7 @@ def _check_steps(
                 incomplete=incomplete,
                 failed_step=step,
             )
-        if _is_tautology(step.literals):
+        if is_tautology(step.literals):
             # Tautologies are trivially redundant; never tracked as active.
             continue
         if not _rup(active, step.literals) and not _rat(active, step.literals):

@@ -154,10 +154,9 @@ class CDCLSolver(SATSolver):
             kernel.proof = self._proof
             # Bulk load: no per-clause watch partitioning or value checks —
             # propagation repairs any watch transiently falsified by a unit
-            # that is still pending (see ArenaKernel.load_clauses /
-            # load_formula, which also explains why tautologies need no
-            # filtering here).
-            kernel.load_formula(formula.clauses)
+            # that is still pending (see ArenaKernel.load_clauses, which
+            # also explains why tautologies need no filtering here).
+            kernel.load_clauses(formula.clauses)
             if kernel.root_conflict:
                 kernel.emit_empty()
                 return SolverResult(UNSAT, None, stats)

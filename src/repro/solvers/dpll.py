@@ -18,7 +18,6 @@ from typing import Callable, Dict, Optional
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
-from repro.cnf.literal import Literal
 from repro.exceptions import SolverError
 from repro.solvers.base import SAT, UNSAT, SATSolver, SolverResult, SolverStats
 from repro.telemetry import instrument as _telemetry
@@ -71,15 +70,11 @@ def unit_propagate(
     while True:
         if current.has_empty_clause():
             return SimplificationResult(current, forced, conflict=True)
-        unit_literal: Optional[Literal] = None
-        for clause in current:
-            if clause.is_unit:
-                unit_literal = clause.literals[0]
-                break
-        if unit_literal is None:
+        unit = next((clause[0] for clause in current if len(clause) == 1), None)
+        if unit is None:
             return SimplificationResult(current, forced, conflict=False)
-        forced[unit_literal.variable] = unit_literal.positive
-        current = current.condition(unit_literal.variable, unit_literal.positive)
+        forced[abs(unit)] = unit > 0
+        current = current.condition(abs(unit), unit > 0)
 
 
 def pure_literal_eliminate(formula: CNFFormula) -> SimplificationResult:
@@ -91,7 +86,7 @@ def pure_literal_eliminate(formula: CNFFormula) -> SimplificationResult:
     polarity_seen: Dict[int, set[bool]] = {}
     for clause in formula:
         for lit in clause:
-            polarity_seen.setdefault(lit.variable, set()).add(lit.positive)
+            polarity_seen.setdefault(abs(lit), set()).add(lit > 0)
 
     forced: Dict[int, bool] = {
         var: next(iter(pols)) for var, pols in polarity_seen.items() if len(pols) == 1
@@ -119,12 +114,11 @@ def most_frequent_variable(
     counts: Dict[int, int] = {}
     positive_counts: Dict[int, int] = {}
     for clause in formula:
-        for literal in clause:
-            counts[literal.variable] = counts.get(literal.variable, 0) + 1
-            if literal.positive:
-                positive_counts[literal.variable] = (
-                    positive_counts.get(literal.variable, 0) + 1
-                )
+        for lit in clause:
+            variable = abs(lit)
+            counts[variable] = counts.get(variable, 0) + 1
+            if lit > 0:
+                positive_counts[variable] = positive_counts.get(variable, 0) + 1
     if not counts:
         return None
     variable = max(counts, key=lambda v: (counts[v], -v))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.formula import CNFFormula
+from repro.cnf.formula import CNFFormula, evaluate_clause
 from repro.exceptions import SolverError
 from repro.solvers.base import SAT, UNKNOWN, SATSolver, SolverResult, SolverStats
 from repro.telemetry import instrument as _telemetry
@@ -41,7 +41,7 @@ class GSATSolver(SATSolver):
         self._rng = as_generator(seed)
 
     def _num_satisfied(self, formula: CNFFormula, assignment: Dict[int, bool]) -> int:
-        return sum(1 for clause in formula if clause.evaluate(assignment))
+        return sum(1 for clause in formula if evaluate_clause(clause, assignment))
 
     def _solve(self, formula: CNFFormula) -> SolverResult:
         stats = SolverStats()

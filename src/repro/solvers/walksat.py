@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.formula import CNFFormula
+from repro.cnf.formula import CNFFormula, evaluate_clause
 from repro.exceptions import SolverError
 from repro.solvers.base import SAT, UNKNOWN, SATSolver, SolverResult, SolverStats
 from repro.telemetry import instrument as _telemetry
@@ -67,7 +67,7 @@ class WalkSATSolver(SATSolver):
                 if not unsatisfied:
                     return SolverResult(SAT, Assignment(assignment), stats)
                 clause = unsatisfied[int(self._rng.integers(0, len(unsatisfied)))]
-                variables = sorted(clause.variables())
+                variables = sorted({abs(lit) for lit in clause})
                 if self._rng.random() < self._noise:
                     variable = int(variables[int(self._rng.integers(0, len(variables)))])
                 else:
@@ -91,9 +91,11 @@ class WalkSATSolver(SATSolver):
             flipped[variable] = not flipped[variable]
             break_count = 0
             for clause in formula:
-                if variable not in clause.variables():
+                if variable not in clause and -variable not in clause:
                     continue
-                if clause.evaluate(assignment) and not clause.evaluate(flipped):
+                if evaluate_clause(clause, assignment) and not evaluate_clause(
+                    clause, flipped
+                ):
                     break_count += 1
             if best_break is None or break_count < best_break:
                 best_break = break_count

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.literal import Literal
-from repro.exceptions import AssignmentError
+from repro.exceptions import AssignmentError, CNFError
 
 
 class TestConstruction:
@@ -16,8 +15,11 @@ class TestConstruction:
         assert assignment[2] is False
 
     def test_from_literals(self):
-        assignment = Assignment.from_literals([Literal(1), Literal(2, False)])
-        assert assignment[1] and not assignment[2]
+        assignment = Assignment.from_literals([2, -3, 2])
+        assert assignment.as_dict() == {2: True, 3: False}
+        for bad in ([0], [True], [1.0]):
+            with pytest.raises(CNFError):
+                Assignment.from_literals(bad)
 
     def test_from_int_literals(self):
         assignment = Assignment.from_literals([1, -2])
@@ -90,9 +92,9 @@ class TestHelpers:
 
     def test_satisfies_literal(self):
         assignment = Assignment({1: True})
-        assert assignment.satisfies_literal(Literal(1)) is True
-        assert assignment.satisfies_literal(Literal(1, False)) is False
-        assert assignment.satisfies_literal(Literal(2)) is None
+        assert assignment.satisfies_literal(1) is True
+        assert assignment.satisfies_literal(-1) is False
+        assert assignment.satisfies_literal(2) is None
 
     def test_minterm_roundtrip(self):
         for index in range(8):
@@ -105,7 +107,7 @@ class TestHelpers:
 
     def test_to_literals_and_str(self):
         assignment = Assignment({1: False, 2: True})
-        assert assignment.to_literals() == [Literal(1, False), Literal(2, True)]
+        assert assignment.to_literals() == [-1, 2]
         assert str(assignment) == "~x1 x2"
 
     def test_empty_str(self):

@@ -31,7 +31,7 @@ class TestParse:
         text = "p cnf 3 1\n1\n-2 3 0\n"
         formula = parse_dimacs(text)
         assert formula.num_clauses == 1
-        assert set(formula.clauses[0].to_ints()) == {1, -2, 3}
+        assert set(formula.clauses[0]) == {1, -2, 3}
 
     def test_multiple_clauses_on_one_line(self):
         formula = parse_dimacs("p cnf 2 2\n1 0 -2 0\n")

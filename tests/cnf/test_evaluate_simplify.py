@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cnf.clause import Clause
 from repro.cnf.evaluate import (
     clause_minterm_mask,
     count_models,
@@ -19,7 +18,7 @@ from repro.exceptions import CNFError
 
 class TestEvaluate:
     def test_clause_minterm_mask(self):
-        mask = clause_minterm_mask(Clause([1, -2]), 2)
+        mask = clause_minterm_mask((1, -2), 2)
         # minterm index bit0 = x1, bit1 = x2
         assert list(mask) == [True, True, False, True]
 
@@ -35,7 +34,7 @@ class TestEvaluate:
 
     def test_count_models_empty_formula(self):
         assert count_models(CNFFormula([])) == 1
-        assert count_models(CNFFormula([Clause([])], num_variables=0)) == 0
+        assert count_models(CNFFormula([[]], num_variables=0)) == 0
 
     def test_enumerate_models(self):
         formula = CNFFormula.from_ints([[1], [2]])

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cnf.clause import Clause
 from repro.cnf.evaluate import satisfying_minterm_mask
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_ksat
@@ -40,7 +39,7 @@ class TestSymbolicSigma:
         assert satisfying_minterms(example7_instance()).count() == 0
 
     def test_empty_clause_forces_empty_set(self):
-        formula = CNFFormula([Clause([1, 2]), Clause([])], num_variables=2)
+        formula = CNFFormula([[1, 2], []], num_variables=2)
         assert satisfying_minterms(formula).count() == 0
 
 
@@ -65,7 +64,7 @@ class TestSampledSigma:
         assert np.allclose(sigma, manual)
 
     def test_empty_clause_zeroes_sigma(self):
-        formula = CNFFormula([Clause([1]), Clause([])], num_variables=1)
+        formula = CNFFormula([[1], []], num_variables=1)
         bank = NoiseBank(2, 1, carrier=BipolarCarrier(), seed=2)
         block = bank.sample_block(100)
         assert np.allclose(sigma_samples(block, formula), 0.0)

@@ -35,7 +35,7 @@ def reference_sigma(block: np.ndarray, formula: CNFFormula) -> np.ndarray:
     """``Π_j Z_j`` with ``Z_j = T^j − T^j_cube``, one clause at a time."""
     result = np.ones(block.shape[-1])
     for index, clause in enumerate(formula.clauses, start=1):
-        if clause.is_empty:
+        if not clause:
             z = np.zeros(block.shape[-1])
         else:
             z = clause_full_superposition(block, index)

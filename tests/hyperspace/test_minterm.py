@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cnf.clause import Clause
-from repro.cnf.literal import Literal
 from repro.exceptions import HyperspaceError
 from repro.hyperspace.minterm import MintermSet, cube_minterms, minterm_index_of
 
@@ -51,16 +49,16 @@ class TestMintermSetConstruction:
             MintermSet.from_indices(2, [4])
 
     def test_from_literal(self):
-        mset = MintermSet.from_literal(2, Literal(2, False))
+        mset = MintermSet.from_literal(2, -2)
         assert set(mset.indices()) == {0b00, 0b01}
 
     def test_from_clause(self):
-        mset = MintermSet.from_clause(2, Clause([1, 2]))
+        mset = MintermSet.from_clause(2, (1, 2))
         assert mset.count() == 3
         assert 0 not in mset  # only x1=x2=0 falsifies (x1+x2)
 
     def test_from_empty_clause(self):
-        assert MintermSet.from_clause(2, Clause([])).count() == 0
+        assert MintermSet.from_clause(2, ()).count() == 0
 
     def test_from_cube(self):
         mset = MintermSet.from_cube(3, {1: True})

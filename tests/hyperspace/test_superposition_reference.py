@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cnf.literal import Literal
 from repro.exceptions import HyperspaceError
 from repro.hyperspace.minterm import MintermSet
 from repro.hyperspace.reference import reference_hyperspace, reference_minterms
@@ -55,8 +54,8 @@ class TestClauseSuperpositions:
         assert np.allclose(cube, minterm)
 
     def test_literal_subspace_is_half_of_full(self, small_block):
-        positive = clause_literal_subspace(small_block, 1, Literal(1, True))
-        negative = clause_literal_subspace(small_block, 1, Literal(1, False))
+        positive = clause_literal_subspace(small_block, 1, 1)
+        negative = clause_literal_subspace(small_block, 1, -1)
         assert np.allclose(positive + negative, clause_full_superposition(small_block, 1))
 
     def test_distinct_minterms_are_orthogonal(self, small_block):

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cnf.assignment import Assignment
-from repro.cnf.clause import Clause
 from repro.cnf.dimacs import parse_dimacs, to_dimacs
 from repro.cnf.evaluate import count_models, satisfying_minterm_mask
-from repro.cnf.formula import CNFFormula
-from repro.cnf.literal import Literal
+from repro.cnf.formula import CNFFormula, evaluate_clause
 from repro.core.sigma import satisfying_minterms
 from repro.core.symbolic import SymbolicNBLEngine
 from repro.hyperspace.minterm import MintermSet
@@ -44,25 +42,11 @@ bindings = st.dictionaries(
 
 
 class TestLiteralAndClauseProperties:
-    @given(literal_ints)
-    @settings(max_examples=50, deadline=None)
-    def test_literal_int_roundtrip(self, encoded):
-        assert Literal.from_int(encoded).to_int() == encoded
-
-    @given(literal_ints, st.booleans())
-    @settings(max_examples=50, deadline=None)
-    def test_negation_flips_evaluation(self, encoded, value):
-        literal = Literal.from_int(encoded)
-        assert literal.evaluate(value) != literal.negate().evaluate(value)
-
     @given(clauses, assignments)
     @settings(max_examples=100, deadline=None)
     def test_clause_evaluation_is_disjunction(self, ints, assignment):
-        clause = Clause.from_ints(ints)
-        expected = any(
-            Literal.from_int(v).evaluate(assignment[abs(v)]) for v in ints
-        )
-        assert clause.evaluate(assignment) == expected
+        expected = any(assignment[abs(v)] == (v > 0) for v in ints)
+        assert evaluate_clause(ints, assignment) == expected
 
 
 class TestFormulaProperties:
@@ -74,7 +58,7 @@ class TestFormulaProperties:
     @given(formulas, assignments)
     @settings(max_examples=100, deadline=None)
     def test_evaluation_is_conjunction_of_clauses(self, formula, assignment):
-        expected = all(clause.evaluate(assignment) for clause in formula)
+        expected = all(evaluate_clause(clause, assignment) for clause in formula)
         assert formula.evaluate(assignment) == expected
 
     @given(formulas, st.integers(min_value=1, max_value=MAX_VARS), st.booleans())

@@ -85,9 +85,7 @@ class TestExecution:
         assert outcome.status == "SAT" and outcome.verified
         assert outcome.assignment == (1, -2, 3, -4)
         model = Assignment(outcome.assignment_dict())
-        assert outcome.assignment == tuple(
-            lit.to_int() for lit in model.to_literals()
-        )
+        assert outcome.assignment == tuple(model.to_literals())
 
     def test_nbl_symbolic_unsat_is_verified(self):
         job = SolveJob(

@@ -89,6 +89,11 @@ class TestBuildJob:
             {"op": "solve", "dimacs": 3},
             {"op": "solve", "dimacs": "p cnf oops"},
             {"op": "solve", "clauses": "nope"},
+            {"op": "solve", "clauses": [[True, 2]]},  # bool is not a literal
+            {"op": "solve", "clauses": [["1"]]},
+            {"op": "solve", "clauses": [[None]]},
+            {"op": "solve", "clauses": [[[1]]]},
+            {"op": "solve", "clauses": [[{"a": 1}]]},
             {"op": "solve", "dimacs": DIMACS, "solver": "unknown-solver"},
             {"op": "solve", "dimacs": DIMACS, "assumptoins": [1]},  # typo
             {"op": "solve", "dimacs": DIMACS, "timeout": -1},

@@ -115,6 +115,14 @@ class TestOps:
         assert ping["code"] == OK
         assert service.stats.bad_requests == 2
 
+    def test_non_int_literal_is_400_not_a_failure(self):
+        service = _service(executor=GatedExecutor())
+        line = json.dumps({"op": "solve", "id": "s", "clauses": [["1"]]})
+        response = asyncio.run(service.handle_line(line))
+        assert response["code"] == BAD_REQUEST and response["id"] == "s"
+        assert service.stats.bad_requests == 1
+        assert service.stats.failures == 0
+
     def test_config_validation(self):
         with pytest.raises(RuntimeSubsystemError):
             ServiceConfig(solver="made-up")

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cnf.clause import Clause
 from repro.cnf.evaluate import count_models
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import planted_ksat, random_ksat
@@ -48,7 +47,7 @@ class TestBruteForce:
 
     def test_empty_formula(self):
         assert BruteForceSolver().solve(CNFFormula([])).is_sat
-        falsum = CNFFormula([Clause([])], num_variables=0)
+        falsum = CNFFormula([[]], num_variables=0)
         assert BruteForceSolver().solve(falsum).is_unsat
 
 
@@ -158,7 +157,7 @@ class TestCDCL:
         ).is_sat
 
     def test_empty_and_unit_handling(self):
-        assert CDCLSolver().solve(CNFFormula([Clause([])], num_variables=1)).is_unsat
+        assert CDCLSolver().solve(CNFFormula([[]], num_variables=1)).is_unsat
         assert CDCLSolver().solve(CNFFormula.from_ints([[1], [-2]])).is_sat
         assert CDCLSolver().solve(CNFFormula.from_ints([[1], [-1]])).is_unsat
 
@@ -202,7 +201,7 @@ class TestLocalSearch:
         assert gsat.solve(section4_unsat_instance()).status == UNKNOWN
 
     def test_empty_clause_returns_unknown(self):
-        formula = CNFFormula([Clause([])], num_variables=1)
+        formula = CNFFormula([[]], num_variables=1)
         assert WalkSATSolver(seed=0).solve(formula).status == UNKNOWN
 
     def test_flip_counters(self):

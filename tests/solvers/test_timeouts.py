@@ -124,7 +124,7 @@ def test_incremental_solve_stamps_elapsed_on_timeout():
     solver = CDCLSolver()
     solver.begin_incremental(formula.num_variables)
     for clause in formula:
-        solver.attach_clause(clause.to_ints())
+        solver.attach_clause(clause)
     result = solver.solve_incremental(timeout=0.05)
     assert result.status == UNKNOWN
     assert result.timed_out is True
