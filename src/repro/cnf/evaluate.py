@@ -3,7 +3,9 @@
 These routines enumerate the full 2^n assignment space with vectorised NumPy
 bit arithmetic, so they are practical up to roughly ``n = 24``. They provide
 ground truth for the NBL-SAT engines (which the paper validates only on tiny
-instances) and power the exact/symbolic engine in :mod:`repro.core.symbolic`.
+instances). They share no code with the exact/symbolic engine in
+:mod:`repro.core.symbolic`, which works on ``int`` bitsets, so they serve as
+its independent oracle.
 """
 
 from __future__ import annotations

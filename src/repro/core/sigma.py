@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import EngineError
-from repro.hyperspace.minterm import MintermSet
+from repro.hyperspace.minterm import MintermSet, literal_masks
 from repro.hyperspace.superposition import (
     clause_cube_subspace,
     clause_full_superposition,
@@ -197,9 +197,13 @@ def satisfying_minterms(formula: CNFFormula) -> MintermSet:
     """Exact set of minterms present in every ``Z_j`` — the models of ``S``.
 
     This is the minterm set whose members correlate with ``τ_N``; its size is
-    the model count ``K`` that scales the mean of ``S_N``.
+    the model count ``K`` that scales the mean of ``S_N``. It is the AND,
+    over the clauses, of the OR of each clause's literal masks.
     """
-    result = MintermSet.full(formula.num_variables)
-    for clause_set in clause_minterm_sets(formula):
-        result = result & clause_set
-    return result
+    masks = literal_masks(formula.num_variables)
+    bits = masks.full
+    for clause in formula.clauses:
+        bits &= masks.clause(clause)
+        if not bits:
+            break
+    return MintermSet.from_bits(formula.num_variables, bits)

@@ -4,7 +4,9 @@ The paper stresses that NBL is a *deterministic* logic scheme: with an ideal
 correlator (infinite observation time) the mean of ``S_N = τ_N · Σ_N`` is
 exactly ``K · E[x²]^{n·m}`` where ``K`` is the number of satisfying minterms
 inside the (possibly bound) reference hyperspace. This engine computes that
-limit exactly using the minterm-set algebra of :mod:`repro.hyperspace`, so
+limit exactly using the minterm-set algebra of :mod:`repro.hyperspace`: the
+models are one ``2^n``-bit ``int``, built once, and each check is the
+popcount of the models ANDed with the bound reference's cube mask. So
 Algorithms 1 and 2 can be exercised without any sampling noise. It doubles
 as the ground-truth oracle for the Monte-Carlo engine's tests.
 """
@@ -17,8 +19,7 @@ from repro.cnf.formula import CNFFormula
 from repro.core.result import CheckResult
 from repro.core.sigma import satisfying_minterms
 from repro.exceptions import EngineError
-from repro.hyperspace.minterm import MintermSet
-from repro.hyperspace.reference import reference_minterms
+from repro.hyperspace.minterm import LiteralMasks, MintermSet, literal_masks, popcount
 from repro.noise.base import Carrier
 from repro.noise.uniform import UniformCarrier
 
@@ -47,6 +48,9 @@ class SymbolicNBLEngine:
         self._carrier = carrier if carrier is not None else UniformCarrier()
         # The satisfying minterm set is binding-independent, compute it once.
         self._models: MintermSet = satisfying_minterms(formula)
+        # Every check ANDs a cube of literal masks; keep the table, since
+        # above the cached sizes literal_masks() builds a fresh one per call.
+        self._masks: LiteralMasks = literal_masks(formula.num_variables)
 
     # -- metadata -------------------------------------------------------------
     @property
@@ -70,8 +74,7 @@ class SymbolicNBLEngine:
         """Number of satisfying minterms inside the (bound) reference hyperspace."""
         bindings = dict(bindings or {})
         self._validate_bindings(bindings)
-        reference = reference_minterms(self._formula.num_variables, bindings)
-        return self._models.correlation_count(reference)
+        return popcount(self._models.bits & self._masks.cube(bindings))
 
     def expected_mean(self, bindings: Optional[Mapping[int, bool]] = None) -> float:
         """Exact mean of ``S_N`` for the given τ_N bindings."""

@@ -3,8 +3,9 @@
 Two complementary views of the 2^n-element hyperspace are provided:
 
 * :class:`~repro.hyperspace.minterm.MintermSet` — the *exact* (symbolic)
-  view: a subset of the 2^n minterms, with the set algebra that products and
-  additive superpositions of orthogonal noise vectors induce.
+  view: a subset of the 2^n minterms, stored as one ``int`` bitset, with the
+  set algebra that products and additive superpositions of orthogonal noise
+  vectors induce.
 * :mod:`~repro.hyperspace.superposition` / :mod:`~repro.hyperspace.reference`
   — the *sampled* view: NumPy builders that evaluate the superposition
   signals ``T``, ``T_v`` (Equation 1 and the cube-subspace variant) and the

@@ -90,6 +90,4 @@ def reference_minterms(
     Without bindings this is the full hyperspace (every minterm is valid);
     with bindings it is the cube subspace selected by the bound variables.
     """
-    if bindings:
-        return MintermSet.from_cube(num_variables, dict(bindings))
-    return MintermSet.full(num_variables)
+    return MintermSet.from_cube(num_variables, bindings or {})

@@ -53,6 +53,7 @@ from repro.service.protocol import (
     OK,
     PROTOCOL_VERSION,
     REJECTED,
+    TOO_LARGE,
     UNAVAILABLE,
     ProtocolError,
     build_job,
@@ -76,6 +77,7 @@ __all__ = [
     "ServiceError",
     "ServiceStats",
     "SolveService",
+    "TOO_LARGE",
     "UNAVAILABLE",
     "build_job",
     "encode_message",

@@ -238,6 +238,8 @@ class ServiceClient:
 
         Assigns a connection-unique ``id`` when the payload has none, so
         the matching response can be collected later with :meth:`wait`.
+        The ``id``, assigned or given, goes first on the line, where a
+        server that refuses an oversized line (``413``) still reads it.
         A send that hits a dead connection reconnects and re-submits
         (within the retry budget); beyond it, raises
         :class:`~repro.exceptions.ServiceError`.
@@ -245,7 +247,7 @@ class ServiceClient:
         request_id = payload.get("id")
         if request_id is None:
             request_id = f"req-{next(self._ids)}"
-            payload = dict(payload, id=request_id)
+        payload = {"id": request_id, **{k: v for k, v in payload.items() if k != "id"}}
         self._sent[request_id] = payload
         attempt = 0
         while True:

@@ -30,6 +30,10 @@ Response codes (the ``code`` field) follow the HTTP idiom:
        ``deduped`` flags
 400    malformed request (unparsable line, unknown op or field,
        bad formula, unknown solver spec, ...)
+413    the request line was longer than 64 KiB (the server's
+       ``MAX_REQUEST_BYTES``); the line was discarded unparsed, the
+       response carries its ``id`` if the start of the line names one,
+       and the connection stays open
 429    rejected by admission control: the bounded queue was full —
        back off and resend
 500    the service failed internally while handling the request
@@ -68,6 +72,7 @@ PROTOCOL_VERSION = 1
 #: Response codes (HTTP-idiom).
 OK = 200
 BAD_REQUEST = 400
+TOO_LARGE = 413
 REJECTED = 429
 FAILED = 500
 UNAVAILABLE = 503

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import re
 import signal
 import sys
 import time
@@ -53,6 +54,7 @@ from repro.service.protocol import (
     OK,
     PROTOCOL_VERSION,
     REJECTED,
+    TOO_LARGE,
     UNAVAILABLE,
     JobDefaults,
     ProtocolError,
@@ -63,6 +65,12 @@ from repro.service.protocol import (
     parse_request,
 )
 from repro.telemetry import instrument as _telemetry
+
+#: Longest request line served, in bytes, not counting its newline: 64 KiB,
+#: asyncio's default stream limit, which bounded TCP lines before. On either
+#: transport a longer line is read to its end, dropped and answered with one
+#: ``413``; the connection stays open.
+MAX_REQUEST_BYTES = 64 * 1024
 
 
 @dataclass
@@ -331,21 +339,34 @@ class SolveService:
             response = error_response(
                 request_id, FAILED, f"{type(exc).__name__}: {exc}"
             )
-        elapsed = time.perf_counter() - started
+        self._account(op, response["code"], time.perf_counter() - started)
+        return response
+
+    def _too_large_response(self, head: bytes) -> dict:
+        """The ``413`` for a request line over :data:`MAX_REQUEST_BYTES`.
+
+        The line was dropped unparsed; the response carries the request's
+        id when ``head``, the line's first bytes, names it.
+        """
+        self._stats.bad_requests += 1
+        self._account("invalid", TOO_LARGE, 0.0)
+        return error_response(
+            _peek_request_id(head),
+            TOO_LARGE,
+            f"request line longer than {MAX_REQUEST_BYTES} bytes; "
+            "the line was discarded",
+        )
+
+    def _account(self, op: str, code: int, elapsed: float) -> None:
         self._stats.requests += 1
-        self._stats.count_response(response["code"])
+        self._stats.count_response(code)
         if _telemetry.active():
             if _telemetry.tracing_active():
                 _telemetry.event(
-                    "service.request",
-                    op=op,
-                    code=response["code"],
-                    elapsed_seconds=elapsed,
+                    "service.request", op=op, code=code, elapsed_seconds=elapsed
                 )
-            code = response["code"]
             _telemetry.emit("repro_service_requests_total", op=op, code=code)
             _telemetry.emit("repro_service_request_seconds", elapsed, op=op)
-        return response
 
     async def _dispatch(self, op: str, payload: dict, request_id: str) -> dict:
         if op == "ping":
@@ -516,7 +537,10 @@ class SolveService:
             self._report_load()
 
     # -- transports ------------------------------------------------------------
-    async def _serve_line(self, raw: bytes, respond) -> None:
+    async def _serve_line(self, raw: bytes, respond, oversized: bool = False) -> None:
+        if oversized:
+            await respond(self._too_large_response(raw))
+            return
         line = raw.decode("utf-8", errors="replace").strip()
         if not line:
             return
@@ -530,7 +554,7 @@ class SolveService:
             self._stats.drained += 1
             self._stats.count_response(UNAVAILABLE)
             response = error_response(
-                _peek_request_id(line),
+                _peek_request_id(raw),
                 UNAVAILABLE,
                 "server shutting down before the request finished; "
                 "safe to resend",
@@ -633,10 +657,12 @@ class SolveService:
 
             try:
                 while not self._closing.is_set():
-                    raw = await reader.readline()
+                    raw, oversized = await _read_request(reader)
                     if not raw:
                         break
-                    task = asyncio.ensure_future(self._serve_line(raw, respond))
+                    task = asyncio.ensure_future(
+                        self._serve_line(raw, respond, oversized)
+                    )
                     self._track(task)
                 # Finish this connection's outstanding responses before
                 # closing the socket under the client. The drain budget
@@ -657,7 +683,12 @@ class SolveService:
                     pass
                 conn_tasks.discard(asyncio.current_task())
 
-        server = await asyncio.start_server(on_connection, host=host, port=port)
+        server = await asyncio.start_server(
+            on_connection,
+            host=host,
+            port=port,
+            limit=MAX_REQUEST_BYTES,
+        )
         bound = server.sockets[0].getsockname()
         self.address = (bound[0], bound[1])
         if ready is not None:
@@ -698,7 +729,7 @@ class SolveService:
         stdout = stdout if stdout is not None else sys.stdout
         loop = asyncio.get_running_loop()
         sigterm = self._install_sigterm(loop)
-        readline = await _stdin_readline(loop, stdin)
+        reader, pump = await _stdin_reader(loop, stdin)
         write_lock = asyncio.Lock()
 
         async def respond(message: dict) -> None:
@@ -712,7 +743,7 @@ class SolveService:
         try:
             closing_wait = asyncio.ensure_future(self._closing.wait())
             while not self._closing.is_set():
-                read = asyncio.ensure_future(readline())
+                read = asyncio.ensure_future(_read_request(reader))
                 done, _ = await asyncio.wait(
                     {read, closing_wait},
                     return_when=asyncio.FIRST_COMPLETED,
@@ -720,15 +751,17 @@ class SolveService:
                 if read not in done:
                     read.cancel()
                     break
-                raw = read.result()
+                raw, oversized = read.result()
                 if not raw:
                     break
                 self._track(
-                    asyncio.ensure_future(self._serve_line(raw, respond))
+                    asyncio.ensure_future(self._serve_line(raw, respond, oversized))
                 )
             closing_wait.cancel()
             await self._drain(self._config.drain_timeout)
         finally:
+            if pump is not None:
+                pump.cancel()
             if sigterm:
                 self._remove_sigterm(loop)
             self._finalize()
@@ -748,37 +781,79 @@ class SolveService:
         return asyncio.run(self.serve_stdio(stdin=stdin, stdout=stdout))
 
 
-def _peek_request_id(line: str) -> Optional[str]:
-    """Best-effort request id from a raw line (for a 503 on a dying task)."""
-    try:
-        payload = json.loads(line)
-        request_id = payload.get("id")
-    except (ValueError, AttributeError):
+#: A string ``"id"`` field. Inside a JSON string every quote is escaped
+#: and a value is never followed by a colon, so in a request (one flat
+#: object) this matches only the ``id`` key.
+_ID_FIELD = re.compile(rb'"id"\s*:\s*("(?:[^"\\]|\\.)*")')
+
+
+def _peek_request_id(raw: bytes) -> Optional[str]:
+    """Best-effort request id from a raw, possibly truncated, request line
+    (for a 503 on a dying task or a 413 on an oversized line)."""
+    match = _ID_FIELD.search(raw)
+    if match is None:
         return None
-    return request_id if isinstance(request_id, str) else None
+    try:
+        return json.loads(match.group(1))
+    except ValueError:
+        return None
 
 
-async def _stdin_readline(loop, stdin):
-    """An async ``readline() -> bytes`` over ``stdin``, pipe or not.
+async def _read_request(reader: asyncio.StreamReader) -> tuple[bytes, bool]:
+    """The next request line from ``reader`` and whether it was oversized.
 
-    Pipes get a real non-blocking :class:`asyncio.StreamReader`; anything
-    the event loop cannot poll (a regular file, a PTY on some platforms)
-    falls back to one reader thread.
+    A line longer than the reader's limit is read to its end and dropped;
+    its first bytes (more than the limit) come back with ``True``, and the
+    stream stays in step with the client. ``b""`` means EOF.
     """
     try:
-        reader = asyncio.StreamReader()
+        return await reader.readuntil(b"\n"), False
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial, False
+    except asyncio.LimitOverrunError as exc:
+        head = await reader.readexactly(exc.consumed)
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError:
+            pass
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            continue
+        return head, True
+
+
+async def _stdin_reader(
+    loop, stdin
+) -> tuple[asyncio.StreamReader, Optional[asyncio.Task]]:
+    """A :class:`asyncio.StreamReader` over ``stdin``, pipe or not, with
+    the :data:`MAX_REQUEST_BYTES` line limit (read it with
+    :func:`_read_request`), and the task that fills it, if any.
+
+    Pipes are read by the event loop directly; anything it cannot poll (a
+    regular file, a PTY on some platforms) is read in chunks on the
+    default executor's threads by a pump task that feeds the reader.
+    """
+    reader = asyncio.StreamReader(limit=MAX_REQUEST_BYTES)
+    try:
         await loop.connect_read_pipe(
             lambda: asyncio.StreamReaderProtocol(reader), stdin
         )
-
-        async def readline() -> bytes:
-            return await reader.readline()
-
-        return readline
+        return reader, None
     except (ValueError, OSError, NotImplementedError):
         binary = getattr(stdin, "buffer", stdin)
+        read = getattr(binary, "read1", binary.read)
 
-        async def readline() -> bytes:
-            return await loop.run_in_executor(None, binary.readline)
+    async def pump() -> None:
+        try:
+            while True:
+                chunk = await loop.run_in_executor(None, read, MAX_REQUEST_BYTES)
+                if not chunk:
+                    break
+                reader.feed_data(chunk)
+        except Exception as exc:  # noqa: BLE001 — the reader raises it
+            reader.set_exception(exc)
+            return
+        reader.feed_eof()
 
-        return readline
+    return reader, asyncio.ensure_future(pump())

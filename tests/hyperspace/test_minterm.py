@@ -33,6 +33,8 @@ class TestCubeMinterms:
     def test_out_of_range_binding(self):
         with pytest.raises(HyperspaceError):
             cube_minterms({4: True}, 3)
+        with pytest.raises(HyperspaceError):
+            cube_minterms({-1: True}, 3)
 
 
 class TestMintermSetConstruction:
@@ -126,3 +128,38 @@ class TestMintermSetAlgebra:
         mask = mset.mask
         mask[:] = False
         assert mset.count() == 4
+
+
+class TestPopcount:
+    VALUES = [0, 1, 0b1011, (1 << 64) - 1, (1 << 1000) | 12345, (1 << (1 << 20)) - 1]
+
+    def test_fast_path_when_the_interpreter_has_it(self):
+        from repro.hyperspace import minterm
+
+        if hasattr(int, "bit_count"):
+            assert minterm.popcount is int.bit_count
+        else:
+            assert minterm.popcount is minterm._popcount_bin
+
+    def test_fallback_agrees_with_fast_path(self, monkeypatch):
+        """Runs the pre-3.10 fallback on every interpreter."""
+        from repro.core import symbolic
+        from repro.cnf.generators import random_ksat
+        from repro.hyperspace import minterm
+
+        formulas = [random_ksat(8, 30, 3, seed=seed) for seed in range(5)]
+        bindings = [{}, {1: True}, {2: False, 5: True}]
+
+        def observe():
+            counts = [minterm.popcount(value) for value in self.VALUES]
+            for formula in formulas:
+                engine = symbolic.SymbolicNBLEngine(formula)
+                counts += [engine.model_count(b) for b in bindings]
+                counts.append(MintermSet.from_clause(8, formula.clauses[0]).count())
+            return counts
+
+        fast = observe()
+        monkeypatch.setattr(minterm, "popcount", minterm._popcount_bin)
+        monkeypatch.setattr(symbolic, "popcount", minterm._popcount_bin)
+        assert observe() == fast
+        assert fast[: len(self.VALUES)] == [0, 1, 3, 64, 7, 1 << 20]

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
+import io
 import json
+import os
+import socket
 import threading
 
 import pytest
@@ -14,8 +18,8 @@ from repro.exceptions import RuntimeSubsystemError
 from repro.runtime.jobs import SolveOutcome
 from repro.runtime.pool import WorkerPool
 from repro.runtime.shards import ShardedResultCache
-from repro.service import ServiceConfig, SolveService
-from repro.service.protocol import BAD_REQUEST, FAILED, OK, REJECTED
+from repro.service import ServiceConfig, SolveService, server
+from repro.service.protocol import BAD_REQUEST, FAILED, OK, REJECTED, TOO_LARGE
 
 DIMACS = "p cnf 2 2\n1 2 0\n-1 0\n"
 DIMACS_B = "p cnf 2 1\n1 0\n"
@@ -400,3 +404,157 @@ class TestTcpRoundTrip:
             assert client.shutdown()
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+@contextlib.contextmanager
+def _serving(config: ServiceConfig):
+    """A real TCP server in a thread; yields its port. The body must end
+    by sending ``shutdown``; the server thread must then exit."""
+    service = SolveService(config, cache=ShardedResultCache(directory=None, shards=2))
+    ready = threading.Event()
+    address = {}
+
+    def on_ready(host, port):
+        address["port"] = port
+        ready.set()
+
+    thread = threading.Thread(
+        target=lambda: service.run_tcp(port=0, ready=on_ready), daemon=True
+    )
+    thread.start()
+    assert ready.wait(timeout=10)
+    yield address["port"]
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _oversized_solve_line(size: int) -> bytes:
+    """A well-formed solve request whose line is longer than ``size`` bytes."""
+    clauses = [[v, -(v + 1), v + 2] for v in range(1, size // 8)]
+    line = json.dumps({"op": "solve", "id": "big", "solver": "cdcl", "clauses": clauses})
+    assert len(line) > size
+    return line.encode()
+
+
+def _padded_ping(request_id: str, size: int) -> bytes:
+    """A ping request line of exactly ``size`` bytes (newline not counted)."""
+    line = json.dumps({"op": "ping", "id": request_id}).encode()
+    return line + b" " * (size - len(line))
+
+
+class TestRequestSize:
+    def test_oversized_line_is_413_then_the_connection_serves(self):
+        """Over TCP at the default 64 KiB limit: 413, then 200, one socket."""
+        assert server.MAX_REQUEST_BYTES == 64 * 1024
+        with _serving(ServiceConfig(solver="cdcl")) as port, socket.create_connection(
+            ("127.0.0.1", port)
+        ) as sock:
+            replies = sock.makefile("rb")
+
+            def call(line: bytes) -> dict:
+                sock.sendall(line + b"\n")
+                return json.loads(replies.readline())
+
+            too_large = call(_oversized_solve_line(64 * 1024))
+            assert too_large["code"] == TOO_LARGE and too_large["id"] == "big"
+            solved = call(_solve_line("after").encode())
+            assert solved["code"] == OK and solved["id"] == "after"
+            assert solved["result"]["status"] == "SAT"
+            stats = call(b'{"op": "stats", "id": "s"}')["stats"]
+            assert stats["service"]["responses"]["413"] == 1
+            assert stats["service"]["bad_requests"] == 1
+            assert call(b'{"op": "shutdown", "id": "q"}')["code"] == OK
+            replies.close()
+
+    def test_limit_is_inclusive_and_pipelined_lines_survive(self, monkeypatch):
+        """A line of exactly the limit is served; one byte more is a 413,
+        and the requests pipelined behind it in the same write still run."""
+        limit = 200
+        lines = [
+            _padded_ping("at-limit", limit),
+            _padded_ping("over", limit + 1),
+            _padded_ping("far-over", 50 * limit),
+            _padded_ping("after", 10),
+        ]
+        monkeypatch.setattr(server, "MAX_REQUEST_BYTES", limit)
+        with _serving(ServiceConfig(solver="cdcl")) as port, socket.create_connection(
+            ("127.0.0.1", port)
+        ) as sock:
+            sock.sendall(b"\n".join(lines) + b"\n")
+            replies = sock.makefile("rb")
+            got = [json.loads(replies.readline()) for _ in lines]
+            sock.sendall(b'{"op": "shutdown", "id": "q"}\n')
+            assert json.loads(replies.readline())["code"] == OK
+            replies.close()
+        assert sorted((r["code"], r["id"]) for r in got) == [
+            (OK, "after"), (OK, "at-limit"), (TOO_LARGE, "far-over"), (TOO_LARGE, "over"),
+        ]
+
+    @pytest.mark.parametrize("kind", ["pipe", "file"])
+    def test_stdio_oversized_line_is_413_then_serves(self, kind, tmp_path, monkeypatch):
+        """Both stdio readers: the event-loop pipe and the thread fallback."""
+        limit = 1024
+        payload = b"".join(
+            line + b"\n"
+            for line in (
+                _padded_ping("at-limit", limit),
+                _oversized_solve_line(limit),
+                _padded_ping("after", 10),
+            )
+        )
+        monkeypatch.setattr(server, "MAX_REQUEST_BYTES", limit)
+        service = _service(executor=GatedExecutor())
+        out = io.StringIO()
+        if kind == "file":
+            path = tmp_path / "requests.ndjson"
+            path.write_bytes(payload)
+            with open(path, "rb") as stdin:
+                assert service.run_stdio(stdin=stdin, stdout=out) == 0
+        else:
+            read_fd, write_fd = os.pipe()
+
+            def feed():
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(payload)
+
+            writer = threading.Thread(target=feed)
+            writer.start()
+            with os.fdopen(read_fd, "rb") as stdin:
+                assert service.run_stdio(stdin=stdin, stdout=out) == 0
+            writer.join(timeout=10)
+        got = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert sorted((r["code"], r["id"]) for r in got) == [
+            (OK, "after"), (OK, "at-limit"), (TOO_LARGE, "big"),
+        ]
+
+    def test_client_gets_the_413_for_its_own_request(self, monkeypatch):
+        """The 413 names the request's id, assigned or given (even last in
+        the payload), so a client waiting on that id gets an error instead
+        of waiting forever, and its connection lives."""
+        from repro.service import ProtocolError, ServiceClient
+
+        # Far longer than one socket read, so the server sees only the
+        # start of the line before it starts discarding.
+        clauses = [[v, v + 1] for v in range(1, 100_000)]
+        monkeypatch.setattr(server, "MAX_REQUEST_BYTES", 512)
+        # The socket timeout turns a wait that would never end into an error.
+        with _serving(ServiceConfig(solver="cdcl")) as port, ServiceClient(
+            "127.0.0.1", port, timeout=20
+        ) as client:
+            with pytest.raises(ProtocolError) as refused:
+                client.solve(clauses=clauses)
+            assert refused.value.code == TOO_LARGE
+            given = client.send({"op": "solve", "clauses": clauses, "id": "mine"})
+            assert given == "mine"
+            assert client.wait(given)["code"] == TOO_LARGE
+            assert client.call({"op": "ping", "id": None})["ok"]
+            assert client.solve(dimacs=DIMACS)["status"] == "SAT"
+            assert client.shutdown()
+
+    def test_id_is_read_only_from_the_id_key(self):
+        from repro.service.server import _peek_request_id
+
+        assert _peek_request_id(b'{"op": "solve", "id" : "a\\"b", "cl') == 'a"b'
+        assert _peek_request_id(b'{"op": "solve", "dimacs": "c \\"id\\": \\"x\\"') is None
+        assert _peek_request_id(b'{"label": "id", "clauses": [[1, 2') is None
+        assert _peek_request_id(b'{"id": 7, "clauses": [[1, 2') is None
