@@ -14,20 +14,22 @@ Usage (after installation)::
     python -m repro.cli client instance.cnf --port 9090
 
 ``check`` and ``solve`` exit with the SAT-competition codes — 10 for SAT,
-20 for UNSAT — and run the :mod:`repro.preprocess` inprocessing pipeline
-first unless ``--no-preprocess`` is given; so does ``batch``.
+20 for UNSAT — and 1 for UNKNOWN, an error or bad input. ``check`` is
+Algorithm 1 on the formula as given; ``solve`` runs one
+:class:`~repro.runtime.SolveJob`, preprocessing first unless
+``--no-preprocess`` is given (so does ``batch``), and ``solve --proof``
+routes that job to the proof-capable CDCL solver to record a DRAT proof.
 ``preprocess`` writes the reduced DIMACS and exits 0, or 10/20 when the
 pipeline alone decides the instance. ``figure1``, ``batch`` and
-``incremental`` exit 0 on success. ``solve --proof`` records a DRAT
-proof (routing the search through the proof-capable CDCL solver), and
-``check-proof`` verifies one — exit 0 verified, 1 rejected, 2 malformed
-proof or unreadable input. ``serve`` runs the always-on solve server of
-:mod:`repro.service` (exit 0 on clean shutdown) and ``client`` sends it
-DIMACS files (or a ping/stats/shutdown request) over TCP.
+``incremental`` exit 0 on success. ``check-proof`` verifies a DRAT proof
+— exit 0 verified, 1 rejected, 2 malformed proof or unreadable input.
+``serve`` runs the always-on solve server of :mod:`repro.service` (exit
+0 on clean shutdown) and ``client`` sends it DIMACS files (or a
+ping/stats/shutdown request) over TCP.
 
-The CLI is a thin wrapper over :class:`repro.core.solver.NBLSATSolver`,
-the :mod:`repro.preprocess` pipeline, the :mod:`repro.runtime` batch
-subsystem, the :mod:`repro.incremental` session layer and the Figure 1
+The CLI is a thin wrapper over the :mod:`repro.runtime` job path and
+batch subsystem, the registry NBL engines, the :mod:`repro.preprocess`
+pipeline, the :mod:`repro.incremental` session layer and the Figure 1
 experiment driver; it exists so the library can be exercised without
 writing Python.
 """
@@ -41,9 +43,7 @@ from typing import Optional, Sequence
 
 from repro.cnf.dimacs import parse_dimacs_file
 from repro.cnf.formula import CNFFormula
-from repro.core.config import NBLConfig
-from repro.core.solver import NBLSATSolver
-from repro.noise.base import available_carriers, carrier_from_name
+from repro.noise.base import available_carriers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="NBL-SAT reproduction command-line interface",
         epilog=(
             "exit codes: check/solve follow the SAT-competition convention "
-            "(10 SAT, 20 UNSAT); preprocess exits 0 after reducing, or "
+            "(10 SAT, 20 UNSAT) and exit 1 for UNKNOWN, an error or bad "
+            "input; preprocess exits 0 after reducing, or "
             "10/20 when simplification alone decides the instance; "
             "figure1, batch and incremental exit 0 on success; "
             "check-proof exits 0 when the proof is verified, 1 when it is "
@@ -109,28 +110,23 @@ def _build_parser() -> argparse.ArgumentParser:
             help="sample budget per check for the sampled engine",
         )
         sub.add_argument("--seed", type=int, default=0, help="noise seed")
-        add_no_preprocess(sub)
         add_telemetry(sub)
 
-    check = subparsers.add_parser("check", help="Algorithm 1: SAT/UNSAT decision")
+    check = subparsers.add_parser("check", help="Algorithm 1 on the formula as given")
     add_common(check)
 
     solve = subparsers.add_parser(
-        "solve", help="Algorithms 1+2: decision plus satisfying assignment"
+        "solve", help="Algorithms 1+2: decision plus verified satisfying assignment"
     )
     add_common(solve)
-    solve.add_argument(
-        "--cube",
-        action="store_true",
-        help="use the cube variant (drop don't-care variables)",
-    )
+    add_no_preprocess(solve)
     solve.add_argument(
         "--proof",
         default=None,
         metavar="FILE",
         help="record a DRAT proof of the run to FILE; routes the search "
         "through the proof-capable CDCL solver (--engine/--carrier/"
-        "--samples/--cube do not apply), verify with 'repro check-proof'",
+        "--samples do not apply), verify with 'repro check-proof'",
     )
 
     figure1 = subparsers.add_parser(
@@ -604,16 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_solver(args: argparse.Namespace) -> NBLSATSolver:
-    config = NBLConfig(
-        carrier=carrier_from_name(args.carrier),
-        max_samples=args.samples,
-        block_size=min(50_000, args.samples),
-        seed=args.seed,
-    )
-    return NBLSATSolver(engine=args.engine, config=config)
-
-
 def _run_preprocess(args: argparse.Namespace) -> int:
     from repro.cnf.dimacs import to_dimacs
     from repro.exceptions import ReproError
@@ -839,16 +825,52 @@ def _run_incremental(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_solve_proof(args: argparse.Namespace) -> int:
-    """``solve --proof``: decide with CDCL while recording a DRAT proof."""
+def _run_check(args: argparse.Namespace) -> int:
+    """``check``: Algorithm 1 on the formula as given, by the registry engine."""
+    from repro.exceptions import ReproError
+    from repro.runtime.portfolio import make_spec_solver, refusal_reason
+
+    spec = f"nbl-{args.engine}"
+    try:
+        formula = parse_dimacs_file(args.cnf)
+        refusal = refusal_reason(spec, formula)
+        if refusal is not None:
+            raise ReproError(f"{spec} refused: {refusal}")
+        solver = make_spec_solver(
+            spec, seed=args.seed, samples=args.samples, carrier=args.carrier
+        )
+        result = solver.check(formula)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if result.satisfiable:
+        verdict, code = "SATISFIABLE", 10
+    elif solver.complete:
+        verdict, code = "UNSATISFIABLE", 20
+    else:
+        # A sampled mean judged zero is statistical evidence, not a proof.
+        verdict, code = "UNKNOWN", 1
+    print(verdict)
+    print(
+        f"c mean={result.mean:.4g} threshold={result.threshold:.4g} "
+        f"samples={result.samples_used} engine={result.engine}"
+    )
+    return code
+
+
+def _run_solve(args: argparse.Namespace) -> int:
+    """``solve``: one :class:`~repro.runtime.SolveJob`, printed from its outcome."""
     from repro.exceptions import ReproError
     from repro.runtime import SolveJob, execute_job
 
     try:
-        formula = parse_dimacs_file(args.cnf)
         job = SolveJob(
-            formula,
-            solver="cdcl",
+            parse_dimacs_file(args.cnf),
+            label=args.cnf,
+            solver="cdcl" if args.proof is not None else f"nbl-{args.engine}",
+            samples=args.samples,
+            carrier=args.carrier,
+            seed=args.seed,
             preprocess=not args.no_preprocess,
             proof=args.proof,
         )
@@ -856,20 +878,23 @@ def _run_solve_proof(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     outcome = execute_job(job)
-    if outcome.status not in ("SAT", "UNSAT"):
-        # ERROR carries the exception text; an UNKNOWN (CDCL's conflict
-        # cap) is no verdict either.
-        print(f"error: {outcome.error or outcome.status}", file=sys.stderr)
-        return 1
     if outcome.status == "SAT":
         print("SATISFIABLE")
         model = sorted(outcome.assignment, key=abs)
-        print("v", " ".join(str(lit) for lit in model), "0")
-        print(f"c proof written to {args.proof}")
-        return 10
-    print("UNSATISFIABLE")
-    print(f"c proof written to {args.proof}")
-    return 20
+        print("v", " ".join(map(str, model)), "0")
+        code = 10
+    elif outcome.status == "UNSAT":
+        print("UNSATISFIABLE")
+        code = 20
+    else:
+        if outcome.error:
+            print(f"error: {outcome.error}", file=sys.stderr)
+        print("s UNKNOWN")
+        code = 1
+    print(f"c winner={outcome.winner} samples={outcome.samples_used}")
+    if outcome.proof:
+        print(f"c proof written to {outcome.proof}")
+    return code
 
 
 def _run_check_proof(args: argparse.Namespace) -> int:
@@ -1149,12 +1174,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code.
 
     ``check`` and ``solve`` follow the SAT-competition convention — 10 for
-    SAT, 20 for UNSAT — so the CLI can slot into existing tooling;
-    ``preprocess`` exits 0 after reducing and 10/20 when simplification
-    alone decides the instance. ``figure1``, ``batch`` and ``incremental``
-    return 0 on success (1 on errors). ``check-proof`` returns 0 when the
-    proof is verified, 1 when it is rejected and 2 for a malformed proof
-    or unreadable input.
+    SAT, 20 for UNSAT — so the CLI can slot into existing tooling, and 1
+    for UNKNOWN, an error or bad input. ``preprocess`` exits 0 after
+    reducing and 10/20 when simplification alone decides the instance.
+    ``figure1``, ``batch`` and ``incremental`` return 0 on success (1 on
+    errors). ``check-proof`` returns 0 when the proof is verified, 1 when
+    it is rejected and 2 for a malformed proof or unreadable input.
     """
     args = _build_parser().parse_args(argv)
 
@@ -1225,61 +1250,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "client":
         return _run_client(args)
 
-    if args.command == "solve" and args.proof is not None:
-        return _run_solve_proof(args)
-
-    from repro.exceptions import ReproError
-
-    try:
-        formula = parse_dimacs_file(args.cnf)
-        solver = _make_solver(args)
-    except (ReproError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    # check/solve: shrink the instance first (opt out with --no-preprocess).
-    # A verdict reached during preprocessing skips the NBL engine entirely;
-    # otherwise the engine sees the reduced formula and SAT models are
-    # reconstructed over the original variables before printing.
-    reduction = None
-    if not args.no_preprocess:
-        from repro.preprocess import preprocess_formula
-
-        reduction = preprocess_formula(formula)
-        if reduction.status == "UNSAT":
-            print("UNSATISFIABLE (decided in preprocessing)")
-            return 20
-        if reduction.status == "SAT":
-            model = reduction.reconstruct()
-            if args.command == "check":
-                print("SATISFIABLE (decided in preprocessing)")
-            else:
-                print("SATISFIABLE")
-                print(
-                    "v",
-                    " ".join(map(str, model.to_literals())),
-                    "0",
-                )
-                print("c checks=0 verified=True (decided in preprocessing)")
-            return 10
-        formula = reduction.formula
-
     if args.command == "check":
-        result = solver.check(formula)
-        print(result)
-        return 10 if result.satisfiable else 20
+        return _run_check(args)
 
-    solution = solver.solve(formula, cube=args.cube)
-    if not solution.satisfiable:
-        print("UNSATISFIABLE")
-        return 20
-    assignment = solution.assignment
-    if reduction is not None:
-        assignment = reduction.reconstruct(assignment.as_dict())
-    print("SATISFIABLE")
-    print("v", " ".join(map(str, assignment.to_literals())), "0")
-    print(f"c checks={solution.num_checks} verified={solution.verified}")
-    return 10
+    return _run_solve(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from repro.cnf.formula import CNFFormula
 from repro.core.config import NBLConfig
+from repro.core.result import CheckResult
 from repro.core.solver import NBLSATSolver
 from repro.noise.base import carrier_from_name
 from repro.solvers.base import SAT, UNKNOWN, UNSAT, SATSolver, SolverResult, SolverStats
@@ -35,6 +36,10 @@ class NBLEngineSolver(SATSolver):
             block_size=min(20_000, samples),
             seed=seed,
         )
+
+    def check(self, formula: CNFFormula) -> CheckResult:
+        """Algorithm 1 alone: one NBL check of ``formula``, no assignment."""
+        return NBLSATSolver(self.engine, self._config).check(formula)
 
     def _solve(self, formula: CNFFormula) -> SolverResult:
         self._check_timeout()

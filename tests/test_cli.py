@@ -6,7 +6,13 @@ import pytest
 
 from repro.cli import main
 from repro.cnf.dimacs import write_dimacs_file
-from repro.cnf.paper_instances import section4_sat_instance, section4_unsat_instance
+from repro.cnf.generators import random_ksat
+from repro.cnf.paper_instances import (
+    example5_instance,
+    paper_instances,
+    section4_sat_instance,
+    section4_unsat_instance,
+)
 
 
 @pytest.fixture
@@ -51,8 +57,106 @@ class TestSolveCommand:
         assert main(["solve", unsat_file]) == 20
         assert "UNSATISFIABLE" in capsys.readouterr().out
 
-    def test_solve_cube_flag(self, sat_file):
-        assert main(["solve", sat_file, "--cube"]) == 10
+
+def _write(tmp_path, name, formula):
+    path = tmp_path / f"{name}.cnf"
+    write_dimacs_file(formula, path)
+    return str(path)
+
+
+def _printed_model(out):
+    """The one ``v`` line of ``out`` as a ``variable -> bool`` model."""
+    (line,) = [row for row in out.splitlines() if row.startswith("v ")]
+    literals = [int(token) for token in line.split()[1:]]
+    assert literals[-1] == 0
+    return {abs(lit): lit > 0 for lit in literals[:-1]}
+
+
+SEEDS = range(5)
+
+
+class TestVerdictIntegrity:
+    """An exit code is a verdict the run can stand behind, whatever the seed."""
+
+    @pytest.mark.parametrize("no_preprocess", [False, True])
+    def test_solve_verdicts_stand(self, no_preprocess, tmp_path, capsys):
+        """Exit 10 prints a model of the formula, and 20 from ``--engine
+        sampled`` needs preprocessing (Example 5, SAT with one model, and
+        the Section IV UNSAT instance are among the paper instances)."""
+        runs = [["--engine", "symbolic"]] + [
+            ["--engine", "sampled", "--seed", str(seed)] for seed in SEEDS
+        ]
+        flags = ["--no-preprocess"] if no_preprocess else []
+        for name, formula in paper_instances().items():
+            path = _write(tmp_path, name, formula)
+            for run in runs:
+                code = main(["solve", path, *run, *flags])
+                out = capsys.readouterr().out
+                assert code in (10, 20, 1), (name, run, out)
+                if code == 10:
+                    assert formula.evaluate(_printed_model(out)), (name, run, out)
+                if code == 1:
+                    assert out.splitlines()[0] == "s UNKNOWN", (name, run, out)
+                if code == 20 and "sampled" in run:
+                    # Only a complete step may refute: preprocessing can,
+                    # the sampled engine cannot.
+                    assert "c winner=preprocess " in out, (name, run, out)
+
+    def test_sampled_check_of_unsat_is_unknown(self, unsat_file, capsys):
+        for seed in SEEDS:
+            code = main(
+                ["check", unsat_file, "--engine", "sampled", "--seed", str(seed)]
+            )
+            out = capsys.readouterr().out
+            assert code == 1, (seed, out)
+            assert out.splitlines()[0] == "UNKNOWN", (seed, out)
+
+    @pytest.mark.parametrize("engine", ["symbolic", "sampled"])
+    @pytest.mark.parametrize("preprocess", [True, False])
+    def test_solve_matches_a_direct_job(self, engine, preprocess, tmp_path, capsys):
+        from repro.runtime import SolveJob, execute_job
+
+        formula = example5_instance()
+        path = _write(tmp_path, "example5", formula)
+        argv = ["solve", path, "--engine", engine, "--seed", "4",
+                "--samples", "60000", "--carrier", "bipolar"]
+        code = main(argv + ([] if preprocess else ["--no-preprocess"]))
+        out = capsys.readouterr().out
+        outcome = execute_job(
+            SolveJob(
+                formula,
+                solver=f"nbl-{engine}",
+                seed=4,
+                samples=60_000,
+                carrier="bipolar",
+                preprocess=preprocess,
+            )
+        )
+        status = {10: "SAT", 20: "UNSAT"}.get(code, "UNKNOWN")
+        assert status == (
+            outcome.status if outcome.status != "ERROR" else "UNKNOWN"
+        )
+        if status == "SAT":
+            expected = {abs(lit): lit > 0 for lit in outcome.assignment}
+            assert _printed_model(out) == expected
+        assert f"c winner={outcome.winner} samples={outcome.samples_used}" in out
+
+
+class TestEngineLimit:
+    """A formula over the symbolic engine's limit is refused, not a traceback."""
+
+    @pytest.fixture
+    def wide_file(self, tmp_path):
+        return _write(tmp_path, "wide", random_ksat(30, 60, seed=1))
+
+    @pytest.mark.parametrize(
+        "argv", [["check"], ["solve", "--no-preprocess"]], ids=["check", "solve"]
+    )
+    def test_over_limit_is_one_error_line(self, wide_file, argv, capsys):
+        assert main([argv[0], wide_file, *argv[1:]]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: ") and "refused: " in err[0]
 
 
 class TestFigure1Command:
@@ -214,12 +318,8 @@ class TestPreprocessCommand:
 
 
 class TestNoPreprocessFlags:
-    def test_check_decided_in_preprocessing(self, sat_file, capsys):
-        assert main(["check", sat_file]) == 10
-        assert "decided in preprocessing" in capsys.readouterr().out
-
     def test_check_no_preprocess_runs_engine(self, sat_file, capsys):
-        assert main(["check", sat_file, "--no-preprocess"]) == 10
+        assert main(["check", sat_file]) == 10
         assert "decided in preprocessing" not in capsys.readouterr().out
 
     def test_solve_model_identical_either_way(self, sat_file, capsys):

@@ -5,7 +5,8 @@ The docs suite (``docs/api.md``) is generated by hand from the package
 symbol (or a subsystem package itself) loses its docstring or its entry,
 and whenever an entry names a symbol that no longer exists. The metric
 catalogue and span table in ``docs/observability.md`` are checked against
-``telemetry.METRICS`` and ``telemetry.SPAN_TAXONOMY``.
+``telemetry.METRICS`` and ``telemetry.SPAN_TAXONOMY``, and every CLI
+command line in ``README.md`` and ``docs/*.md`` must parse.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import importlib
 import inspect
 import pathlib
 import re
+import shlex
 
 import pytest
 
@@ -181,3 +183,44 @@ def test_api_reference_rows_name_existing_symbols():
         if not any(_resolves(module, name) for module in modules)
     ]
     assert not stale, f"docs/api.md names symbols that do not exist: {stale}"
+
+
+#: How a documented command line starts; what follows is the argv.
+CLI_PREFIXES = ("repro ", "python -m repro.cli ")
+
+
+def _documented_command_lines():
+    """``(file, argv)`` for every CLI command line in README.md and docs/*.md.
+
+    A line counts when it starts with one of :data:`CLI_PREFIXES`;
+    backslash continuations are joined and ``#`` comments dropped.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    commands = []
+    for path in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+        lines = iter(path.read_text(encoding="utf-8").splitlines())
+        for line in lines:
+            command = line.strip()
+            prefix = next((p for p in CLI_PREFIXES if command.startswith(p)), None)
+            if prefix is None:
+                continue
+            while command.endswith("\\"):
+                command = command[:-1] + " " + next(lines).strip()
+            argv = shlex.split(command[len(prefix):], comments=True)
+            commands.append((path.name, argv))
+    return commands
+
+
+def test_documented_command_lines_parse():
+    """Every documented ``repro ...`` line is accepted by the CLI's parser."""
+    from repro.cli import _build_parser
+
+    commands = _documented_command_lines()
+    assert len(commands) >= 20, "documented command lines went missing"
+    rejected = []
+    for name, argv in commands:
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit:
+            rejected.append(f"{name}: repro {' '.join(argv)}")
+    assert not rejected, f"documented commands the CLI rejects: {rejected}"
