@@ -17,8 +17,9 @@ Usage (after installation)::
 20 for UNSAT — and 1 for UNKNOWN, an error or bad input. ``check`` is
 Algorithm 1 on the formula as given; ``solve`` runs one
 :class:`~repro.runtime.SolveJob`, preprocessing first unless
-``--no-preprocess`` is given (so does ``batch``), and ``solve --proof``
-routes that job to the proof-capable CDCL solver to record a DRAT proof.
+``--no-preprocess`` is given (so does ``batch``; a ``cdcl`` job searches
+the formula as given either way), and ``solve --proof`` routes that job
+to the proof-capable CDCL solver to record a DRAT proof.
 ``preprocess`` writes the reduced DIMACS and exits 0, or 10/20 when the
 pipeline alone decides the instance. ``figure1``, ``batch`` and
 ``incremental`` exit 0 on success. ``check-proof`` verifies a DRAT proof
@@ -86,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="skip the inprocessing pipeline (unit propagation, pure "
             "literals, subsumption, blocked clauses, variable elimination) "
-            "that otherwise shrinks the instance before solving",
+            "that otherwise shrinks the instance before solving (a cdcl "
+            "job searches the formula as given either way)",
         )
 
     def add_common(sub: argparse.ArgumentParser) -> None:

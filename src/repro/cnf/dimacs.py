@@ -20,12 +20,18 @@ from typing import Iterable, Union
 
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import DimacsParseError
+from repro.utils.gc_pause import paused_gc
 
 PathLike = Union[str, os.PathLike]
 
 
+@paused_gc()
 def parse_dimacs(text: str) -> CNFFormula:
     """Parse a DIMACS CNF string into a :class:`CNFFormula`.
+
+    Runs with the cyclic garbage collector paused (see
+    :func:`repro.utils.gc_pause.paused_gc`): a large file builds one list
+    and one tuple per clause in a single burst.
 
     Raises
     ------

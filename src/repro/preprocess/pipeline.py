@@ -29,6 +29,7 @@ from repro.exceptions import PreprocessError
 from repro.preprocess.occurrence import ClauseDatabase
 from repro.preprocess.reconstruction import ReconstructionStack
 from repro.telemetry import instrument as _telemetry
+from repro.utils.gc_pause import paused_gc
 
 #: Technique names, in pipeline order. ``subsumption`` covers both plain
 #: subsumption and self-subsuming resolution (clause strengthening).
@@ -293,7 +294,9 @@ class Preprocessor:
         """
         trace_span = _telemetry.span("preprocess")
         started = time.perf_counter()
-        with trace_span:
+        # The clause database allocates a set per clause and per occurrence
+        # list in one burst; see repro.utils.gc_pause.
+        with trace_span, paused_gc():
             frozen_set = frozenset(abs(int(v)) for v in frozen)
             for variable in frozen_set:
                 if variable <= 0:

@@ -96,7 +96,8 @@ class SolveJob:
         engine by its ``samples`` budget, the symbolic engine by the pool's
         variable limit (:data:`repro.runtime.portfolio.EXPONENTIAL_LIMITS`)
         — so pick ``samples``, not ``timeout``, to cap sampled-NBL jobs in
-        a serial pool.
+        a serial pool. With ``preprocess`` one budget covers the
+        pipeline and the residual solve.
     assumptions:
         DIMACS-signed literals that must hold for this job only (they are
         not part of the formula). Canonicalised to a sorted tuple; an
@@ -112,7 +113,9 @@ class SolveJob:
         Run the :mod:`repro.preprocess` inprocessing pipeline (with the
         assumption variables frozen) before dispatching to the solver; the
         solver then sees the reduced formula and SAT models are
-        reconstructed over the original variables. The cache key is the
+        reconstructed over the original variables. A ``cdcl`` job without
+        assumptions skips the pipeline and searches the formula as given
+        (never slower on the benchmark workloads). The cache key is the
         job's own :attr:`cache_key` either way, so a cached verdict always
         answers the formula that was asked.
     proof:

@@ -81,10 +81,14 @@ def execute_job(job: SolveJob, master_seed: int = 0) -> SolveOutcome:
     # (in-process) pool path is fully observable.
     task_span = _telemetry.span("pool.task")
     started = time.perf_counter()
+    pipeline = _runs_pipeline(job)
     with task_span:
         if task_span.recording:
             task_span.set(
-                job_id=job.job_id, solver=job.solver, label=job.label
+                job_id=job.job_id,
+                solver=job.solver,
+                label=job.label,
+                pipeline=pipeline,
             )
         try:
             # Chaos hook: `error` becomes an ERROR outcome below (a clean
@@ -92,7 +96,7 @@ def execute_job(job: SolveJob, master_seed: int = 0) -> SolveOutcome:
             # (the pool's abandoned-worker handling must recover), `delay`
             # stretches the solve. Inert without an installed fault plan.
             _faults.fire("pool.execute")
-            if job.preprocess:
+            if pipeline:
                 outcome = _execute_preprocessed(job, seed)
             else:
                 outcome = _execute_direct(job, seed, job)
@@ -147,6 +151,23 @@ def _contradictory_core(assumptions: tuple[int, ...]) -> tuple[int, ...]:
     raise RuntimeSubsystemError("assumptions are not contradictory")
 
 
+def _runs_pipeline(job: SolveJob) -> bool:
+    """Whether ``job`` runs the preprocessing pipeline before its solver.
+
+    A ``cdcl`` job without assumptions does not, even with
+    ``preprocess=True``: CDCL search on the formula as given settles large
+    easy inputs in a fraction of the pipeline's time, and on small hard
+    ones elimination did not pay either (ROADMAP item 1 has the numbers).
+    Kissat likewise searches before it eliminates. A ``cdcl`` job with
+    assumptions keeps the pipeline: its refutation of the formula, with
+    the assumption variables frozen, is what reports the empty core of a
+    formula that is unsatisfiable whatever the assumptions.
+    """
+    if not job.preprocess:
+        return False
+    return job.solver != "cdcl" or bool(job.assumptions)
+
+
 def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
     """Preprocess (assumption variables frozen), dispatch, reconstruct.
 
@@ -155,6 +176,7 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
     cached under :attr:`SolveJob.cache_key` like any direct solve and its
     model always belongs to the job's formula. Verdicts reached without
     running a solver at all carry ``winner="preprocess"``.
+    ``job.timeout`` bounds the pipeline and the residual solve together.
 
     With ``job.proof`` the pipeline's elimination lines land in the file
     first (original numbering) and the residual solver writes through a
@@ -165,16 +187,10 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
     from repro.preprocess.pipeline import Preprocessor
 
     deadline = time.monotonic() + job.timeout if job.timeout else None
+    proof = job.proof or ""
+    values = _assumption_values(job.assumptions)
     log, owns_log = resolve_proof_log(job.proof)
     try:
-        reduction = Preprocessor().preprocess(
-            job.formula,
-            frozen={abs(lit) for lit in job.assumptions},
-            deadline=deadline,
-            proof=log,
-        )
-        proof = job.proof or ""
-        values = _assumption_values(job.assumptions)
         if values is None:
             # x and ~x assumed at once: unsatisfiable whatever the formula
             # says — there is no refutation of the formula to record.
@@ -188,6 +204,12 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
                 core=_contradictory_core(job.assumptions),
                 proof=proof,
             )
+        reduction = Preprocessor().preprocess(
+            job.formula,
+            frozen={abs(lit) for lit in job.assumptions},
+            deadline=deadline,
+            proof=log,
+        )
         if reduction.status == "UNSAT":
             # The pipeline refuted the formula itself (assumption variables
             # are frozen, never assumed), so the core is empty.
@@ -218,6 +240,13 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
             return _outcome(
                 job, ERROR, error=f"{job.solver} refused: {refusal}", proof=proof
             )
+        timeout = job.timeout
+        if deadline is not None:
+            timeout = deadline - time.monotonic()
+            if timeout <= 0:
+                if log is not None:
+                    log.mark_incomplete("timeout")
+                return _outcome(job, "UNKNOWN", timed_out=True, proof=proof)
         reduced_job = SolveJob(
             formula=reduction.formula,
             job_id=job.job_id,
@@ -225,7 +254,7 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
             solver=job.solver,
             samples=job.samples,
             carrier=job.carrier,
-            timeout=job.timeout,
+            timeout=timeout,
             assumptions=reduction.map_assumptions(job.assumptions),
             seed=seed,
         )

@@ -19,9 +19,7 @@ consequences), so every learned clause stays valid across
 
 from __future__ import annotations
 
-import gc
 import time
-from contextlib import contextmanager
 from typing import Iterable, Optional, Sequence
 
 from repro.cnf.assignment import Assignment
@@ -38,29 +36,7 @@ from repro.solvers.base import (
     check_assumption_literal,
 )
 from repro.solvers.cdcl.kernel import ArenaKernel
-
-
-@contextmanager
-def _paused_gc():
-    """Pause the cyclic garbage collector for the duration of a solve.
-
-    The kernel allocates watch lists at a rate (one small list per watched
-    literal) that triggers generational collections every few hundred
-    clauses loaded — each sweep scanning a heap of *live* objects with no
-    garbage to find, which more than doubles wall time on large
-    propagation-bound instances. Reference counting still reclaims
-    everything the solver drops; only cycle detection is deferred.
-    Restored on every exit path; a no-op when the collector is already
-    disabled (e.g. by an enclosing solve or the embedding application).
-    """
-    if gc.isenabled():
-        gc.disable()
-        try:
-            yield
-        finally:
-            gc.enable()
-    else:
-        yield
+from repro.utils.gc_pause import paused_gc
 
 
 class CDCLSolver(SATSolver):
@@ -149,7 +125,7 @@ class CDCLSolver(SATSolver):
         stats = SolverStats()
         self._incremental = False
         self._num_vars = formula.num_variables
-        with _paused_gc():
+        with paused_gc():
             kernel = self._kernel = self._new_kernel(formula.num_variables)
             kernel.proof = self._proof
             # Bulk load: no per-clause watch partitioning or value checks —
@@ -166,7 +142,7 @@ class CDCLSolver(SATSolver):
         self, stats: SolverStats, assumptions: Sequence[int], kernel: ArenaKernel
     ) -> SolverResult:
         try:
-            with _paused_gc():
+            with paused_gc():
                 status, model, core = kernel.search(
                     stats, assumptions, self._check_timeout, solver_name=self.name
                 )

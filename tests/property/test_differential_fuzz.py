@@ -231,17 +231,22 @@ def test_nbl_symbolic_session_agrees(seed):
             )
 
 
-def test_unsat_verdicts_are_proof_checked(seed, tmp_path):
+def test_unsat_verdicts_are_proof_checked(seed, tmp_path, monkeypatch):
     """Every CDCL UNSAT verdict ships a checker-accepted DRAT proof.
 
     Both execution paths are covered per UNSAT formula — solving the
     original directly and solving as a preprocessing job (whose
     elimination lines must splice soundly in front of the translated
     residual derivation) — for ≥200 proof-checked verdicts with zero
-    rejections.
+    rejections. A ``cdcl`` job without assumptions skips the pipeline by
+    default, so the job here is routed through it, as a job with
+    assumptions would be.
     """
     from repro.proofs import ProofLog, check_proof, check_proof_file
     from repro.runtime import SolveJob, execute_job
+    from repro.runtime import pool as pool_module
+
+    monkeypatch.setattr(pool_module, "_runs_pipeline", lambda job: job.preprocess)
 
     solver = make_solver("cdcl")
     corpus = _full_corpus(seed) + _unsat_dense_corpus(seed + 5, 110)

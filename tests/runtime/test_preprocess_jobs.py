@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import planted_ksat, random_ksat
 from repro.cnf.paper_instances import section4_unsat_instance
 from repro.cnf.structured import all_equal_formula, pigeonhole_formula
+from repro.preprocess.pipeline import Preprocessor
 from repro.runtime import BatchRunner, ResultCache, SolveJob, execute_job
 from repro.solvers.brute_force import BruteForceSolver
+from repro.telemetry import start_tracing, stop_tracing
 
 
 @pytest.fixture
@@ -56,7 +60,7 @@ class TestExecuteJobPreprocess:
     def test_unsat_decided_by_preprocessing(self):
         outcome = execute_job(
             SolveJob(
-                formula=section4_unsat_instance(), solver="cdcl", preprocess=True
+                formula=section4_unsat_instance(), solver="dpll", preprocess=True
             ),
             0,
         )
@@ -122,13 +126,70 @@ class TestExecuteJobPreprocess:
         job = SolveJob(
             formula=random_ksat(60, 180, 3, seed=0),
             job_id="residual",
-            solver="cdcl",
+            solver="dpll",
             preprocess=True,
         )
         outcome = execute_job(job, 0)
-        assert (outcome.status, outcome.winner) == ("SAT", "cdcl")
+        assert (outcome.status, outcome.winner) == ("SAT", "dpll")
         assert outcome.fingerprint == job.formula.fingerprint()
         assert len({id(formula) for formula in fingerprinted}) == 1
+
+    def test_deadline_covers_pipeline_and_residual(self, monkeypatch):
+        # The residual solve gets what is left of the job's timeout, not a
+        # fresh one: a pipeline that overruns the deadline ends the job.
+        preprocess = Preprocessor.preprocess
+
+        def slow(self, *args, **kwargs):
+            result = preprocess(self, *args, **kwargs)
+            time.sleep(0.3)
+            return result
+
+        monkeypatch.setattr(Preprocessor, "preprocess", slow)
+        outcome = execute_job(
+            SolveJob(
+                formula=pigeonhole_formula(6, 5),
+                solver="cdcl",
+                assumptions=(30,),
+                preprocess=True,
+                timeout=0.25,
+            )
+        )
+        assert (outcome.status, outcome.timed_out) == ("UNKNOWN", True)
+
+
+class TestCdclSkipsPipeline:
+    """A ``cdcl`` job without assumptions searches its formula as given."""
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            random_ksat(60, 180, 3, seed=0),
+            random_ksat(20, 120, 3, seed=1),
+            section4_unsat_instance(),  # the pipeline alone refutes it
+            all_equal_formula(30),  # the pipeline alone satisfies it
+        ],
+    )
+    def test_answers_like_a_direct_job(self, formula):
+        direct = execute_job(SolveJob(formula=formula, solver="cdcl"))
+        tracer = start_tracing()
+        try:
+            outcome = execute_job(
+                SolveJob(formula=formula, solver="cdcl", preprocess=True)
+            )
+        finally:
+            stop_tracing()
+        (root,) = tracer.finished
+        assert direct.status in ("SAT", "UNSAT")
+        assert (outcome.status, outcome.assignment, outcome.core) == (
+            direct.status,
+            direct.assignment,
+            direct.core,
+        )
+        assert (outcome.winner, outcome.verified) == ("cdcl", True)
+        if outcome.status == "SAT":
+            assert formula.evaluate(outcome.assignment_dict())
+        assert root.attributes["pipeline"] is False
+        assert "preprocess" not in [span.name for span in root.walk()]
 
 
 class TestBatchRunnerPreprocess:

@@ -58,11 +58,35 @@ class TestSolverSpans:
     def test_preprocess_span_nests_inside_pool_task(self):
         tracer = start_tracing()
         formula = random_ksat(12, 40, seed=2)
-        execute_job(SolveJob(formula=formula, solver="cdcl", preprocess=True))
+        execute_job(SolveJob(formula=formula, solver="dpll", preprocess=True))
         stop_tracing()
         (root,) = tracer.finished
         assert root.name == "pool.task"
         assert "preprocess" in [child.name for child in root.children]
+
+    def test_pool_task_says_whether_the_pipeline_ran(self):
+        # A cdcl job skips the pipeline unless it carries assumptions; the
+        # task span records the route, so a trace shows why no
+        # preprocess span follows.
+        tracer = start_tracing()
+        formula = random_ksat(12, 40, seed=2)
+        for assumptions in ((), (1,)):
+            execute_job(
+                SolveJob(
+                    formula=formula,
+                    solver="cdcl",
+                    assumptions=assumptions,
+                    preprocess=True,
+                )
+            )
+        execute_job(SolveJob(formula=formula, solver="cdcl"))
+        stop_tracing()
+        searched, preprocessed, direct = tracer.finished
+        assert searched.attributes["pipeline"] is False
+        assert [child.name for child in searched.children] == ["solve"]
+        assert preprocessed.attributes["pipeline"] is True
+        assert [child.name for child in preprocessed.children][0] == "preprocess"
+        assert direct.attributes["pipeline"] is False
 
     def test_restart_events_from_local_search(self):
         tracer = start_tracing()
