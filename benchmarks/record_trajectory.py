@@ -70,7 +70,7 @@ from repro.cnf.structured import (  # noqa: E402
     graph_coloring_formula,
     pigeonhole_formula,
 )
-from repro.runtime.pool import WorkerPool  # noqa: E402
+from repro.runtime.pool import JobExecutor  # noqa: E402
 from repro.service import ServiceConfig, SolveService  # noqa: E402
 from repro.solvers.cdcl import CDCLSolver  # noqa: E402
 from repro.telemetry import instrument as _instrument  # noqa: E402
@@ -311,7 +311,7 @@ def run_service_workload() -> dict:
         for i, clauses in enumerate(clause_lists)
     ]
 
-    executor = WorkerPool(workers=1, master_seed=7).executor(inline=False)
+    executor = JobExecutor(workers=1, master_seed=7, inline=False)
     service = SolveService(
         ServiceConfig(solver="cdcl", queue_limit=len(cold) + len(warm)),
         executor=executor,

@@ -223,17 +223,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shorthand for --solver portfolio",
     )
     batch.add_argument(
-        "--cache-size",
-        type=int,
-        default=4096,
-        metavar="M",
-        help="LRU result-cache capacity (default: 4096 entries)",
-    )
-    batch.add_argument(
-        "--cache-file",
+        "--cache-dir",
         default=None,
-        help="JSON file to persist the result cache across invocations "
-        "(loaded when present, saved after the run)",
+        metavar="DIR",
+        help="directory for the sharded persistent result cache, shared "
+        "with other batches and with serve --cache-dir (created if "
+        "missing, recovered if present; each verdict is stored as it "
+        "arrives); omit to cache in memory for this run only",
     )
     batch.add_argument(
         "--pattern",
@@ -652,7 +648,7 @@ def _run_preprocess(args: argparse.Namespace) -> int:
 
 def _run_batch(args: argparse.Namespace) -> int:
     from repro.exceptions import RuntimeSubsystemError
-    from repro.runtime import BatchRunner, ResultCache
+    from repro.runtime import BatchRunner, ShardedResultCache
 
     if args.portfolio and args.solver and args.solver != "portfolio":
         print(
@@ -661,17 +657,17 @@ def _run_batch(args: argparse.Namespace) -> int:
         )
         return 2
     solver = args.solver or "portfolio"
+    cache = None
+    if args.cache_dir:
+        # The cache is an optimization: an unreadable directory must not
+        # block the batch, just run it cold from memory.
+        try:
+            cache = ShardedResultCache(args.cache_dir)
+        except (RuntimeSubsystemError, OSError) as exc:
+            print(f"warning: ignoring cache directory: {exc}", file=sys.stderr)
+        else:
+            print(f"c loaded {len(cache)} cached results from {args.cache_dir}")
     try:
-        cache = ResultCache(max_size=args.cache_size)
-        if args.cache_file and os.path.exists(args.cache_file):
-            # The cache is an optimization: a corrupt file must not block
-            # the batch, just start cold (and be rewritten on save).
-            try:
-                loaded = cache.load(args.cache_file)
-            except RuntimeSubsystemError as exc:
-                print(f"warning: ignoring cache file: {exc}", file=sys.stderr)
-            else:
-                print(f"c loaded {loaded} cached results from {args.cache_file}")
         runner = BatchRunner(
             solver=solver,
             workers=args.workers,
@@ -687,14 +683,16 @@ def _run_batch(args: argparse.Namespace) -> int:
     except RuntimeSubsystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if cache is not None:
+            cache.close()
     print(report.to_text())
-    if args.cache_file:
-        try:
-            saved = cache.save(args.cache_file)
-        except OSError as exc:
-            print(f"error: cannot save cache file: {exc}", file=sys.stderr)
-            return 1
-        print(f"c saved {saved} cached results to {args.cache_file}")
+    if report.persist_failures:
+        print(
+            f"warning: {report.persist_failures} verdicts could not be "
+            f"persisted to {args.cache_dir}",
+            file=sys.stderr,
+        )
     return 1 if report.status_counts.get("ERROR") else 0
 
 

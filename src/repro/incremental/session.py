@@ -230,11 +230,13 @@ class IncrementalSession(abc.ABC):
         """Failing assumption core of the most recent query.
 
         ``None`` unless the last :meth:`solve` answered UNSAT. For an
-        UNSAT answer the core is a subset of that query's assumptions
-        sufficient for unsatisfiability — minimized by final-conflict
+        UNSAT answer the core is a subset of that query's assumptions that
+        is UNSAT together with the clause set — minimized by final-conflict
         analysis on :class:`CDCLSession`, the full assumption set on
-        sessions without it — and the empty tuple when the clause set is
-        contradictory regardless of the assumptions.
+        sessions without it — and the empty tuple when the refutation used
+        no assumption. A clause set that is UNSAT whatever the assumptions
+        can still report a non-empty core when the search refuted it
+        through them.
         """
         return self._last_core
 

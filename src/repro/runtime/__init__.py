@@ -5,21 +5,21 @@ package is the serving layer in front of it:
 
 * :mod:`repro.runtime.jobs` — :class:`SolveJob` / :class:`SolveOutcome`,
   the picklable unit of work and its transportable result;
-* :mod:`repro.runtime.cache` — :class:`ResultCache`, an LRU keyed by the
-  canonical ``(formula fingerprint, assumptions)`` pair, with optional
-  JSON persistence;
-* :mod:`repro.runtime.shards` — :class:`ShardedResultCache`, the
-  concurrent-safe persistent cache: entries split across N shard files
-  with per-shard write-ahead logs and merge-compaction (what
-  :mod:`repro.service` serves from);
+* :mod:`repro.runtime.cache` — :class:`ResultCache`, an in-memory LRU
+  keyed by the canonical ``(formula fingerprint, assumptions)`` pair;
+* :mod:`repro.runtime.shards` — :class:`ShardedResultCache`, the one
+  persistent cache, safe to share between processes: entries split
+  across N shard files with per-shard write-ahead logs and
+  merge-compaction (what ``repro batch`` and :mod:`repro.service` keep
+  their verdicts in);
 * :mod:`repro.runtime.locks` — :class:`FileLease`, the cross-process
   lock-file lease (atomic ``O_EXCL`` create, heartbeats, stale
   takeover) that lets several server processes share one cache
   directory;
-* :mod:`repro.runtime.pool` — :class:`WorkerPool`, deterministic
-  multi-process job execution with per-job seed derivation and timeouts,
-  and :class:`JobExecutor`, the reusable submit/collect core shared by
-  the batch runner and the solve service;
+* :mod:`repro.runtime.pool` — :func:`execute_job` and
+  :class:`JobExecutor`, deterministic inline, threaded or multi-process
+  job execution with per-job seed derivation and timeouts, shared by the
+  batch runner and the solve service;
 * :mod:`repro.runtime.portfolio` — :class:`PortfolioSolver`, racing the
   NBL engines against the classical baselines;
 * :mod:`repro.runtime.batch` — :class:`BatchRunner`, directory/glob
@@ -35,22 +35,17 @@ Quickstart::
 """
 
 from repro.runtime.batch import BatchReport, BatchRunner, discover_instances
-from repro.runtime.cache import CacheStats, ResultCache, atomic_write_json
+from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.jobs import SolveJob, SolveOutcome, solve_cache_key
 from repro.runtime.locks import FileLease
-from repro.runtime.pool import (
-    JobExecutor,
-    WorkerPool,
-    derive_job_seed,
-    execute_job,
-)
+from repro.runtime.pool import JobExecutor, derive_job_seed, execute_job
 from repro.runtime.portfolio import (
     DEFAULT_CONTENDERS,
     ContenderReport,
     PortfolioResult,
     PortfolioSolver,
 )
-from repro.runtime.shards import ShardedResultCache, shard_index
+from repro.runtime.shards import ShardedResultCache, atomic_write_json, shard_index
 
 __all__ = [
     "BatchReport",
@@ -66,7 +61,6 @@ __all__ = [
     "ShardedResultCache",
     "SolveJob",
     "SolveOutcome",
-    "WorkerPool",
     "atomic_write_json",
     "derive_job_seed",
     "discover_instances",

@@ -2,10 +2,10 @@
 
 :class:`BatchRunner` is the top of the serving stack: it discovers DIMACS
 files from directories, glob patterns and explicit paths, serves repeats
-from the :class:`~repro.runtime.cache.ResultCache`, fans the misses out
-over a :class:`~repro.runtime.pool.WorkerPool`, and aggregates everything
-into a :class:`BatchReport` (throughput, cache hit rate, per-solver win
-counts).
+from a :class:`~repro.runtime.shards.ShardedResultCache`, fans the misses
+out over a :class:`~repro.runtime.pool.JobExecutor`, stores each verdict as
+it arrives, and aggregates everything into a :class:`BatchReport`
+(throughput, cache hit rate, per-solver win counts).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from repro.cnf.dimacs import parse_dimacs_file
-from repro.exceptions import ReproError, RuntimeSubsystemError
+from repro.exceptions import CachePersistError, ReproError, RuntimeSubsystemError
 from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.jobs import (
     ERROR,
@@ -27,7 +27,8 @@ from repro.runtime.jobs import (
     SolveOutcome,
     known_solver_specs,
 )
-from repro.runtime.pool import WorkerPool
+from repro.runtime.pool import JobExecutor
+from repro.runtime.shards import ShardedResultCache
 from repro.telemetry import instrument as _telemetry
 
 PathLike = Union[str, os.PathLike]
@@ -81,6 +82,8 @@ class BatchReport:
     wall_seconds: float = 0.0
     workers: int = 1
     cache_stats: Optional[CacheStats] = None
+    #: Verdicts the cache could not persist (kept in memory instead).
+    persist_failures: int = 0
 
     @property
     def total(self) -> int:
@@ -157,7 +160,7 @@ class BatchReport:
 
 
 class BatchRunner:
-    """Cache-fronted, pool-backed batch solving of DIMACS instances.
+    """Cache-fronted, executor-backed batch solving of DIMACS instances.
 
     Parameters
     ----------
@@ -165,14 +168,17 @@ class BatchRunner:
         Solver spec applied to every instance (see
         :class:`~repro.runtime.jobs.SolveJob`); default is the portfolio.
     workers:
-        Worker-process count for the underlying pool.
+        Worker count of the :class:`~repro.runtime.pool.JobExecutor` each
+        run builds (1 solves in-process).
     master_seed:
         Root of the deterministic per-job seed derivation.
     cache:
-        A :class:`ResultCache` to serve repeats from; ``None`` builds a
-        fresh one of ``cache_size``.
-    cache_size:
-        Capacity of the internally-built cache.
+        The cache to serve repeats from and store verdicts in: a
+        :class:`~repro.runtime.shards.ShardedResultCache` (persistent when
+        opened on a directory) or a :class:`ResultCache`; ``None`` builds
+        an in-memory ``ShardedResultCache()``. A verdict the cache cannot
+        persist stays in memory and is counted in
+        :attr:`BatchReport.persist_failures`.
     samples / carrier / timeout:
         Forwarded to every job.
     preprocess:
@@ -193,8 +199,7 @@ class BatchRunner:
         solver: str = "portfolio",
         workers: int = 1,
         master_seed: int = 0,
-        cache: Optional[ResultCache] = None,
-        cache_size: int = 4096,
+        cache: Union[ResultCache, ShardedResultCache, None] = None,
         samples: int = 200_000,
         carrier: str = "uniform",
         timeout: Optional[float] = None,
@@ -221,18 +226,16 @@ class BatchRunner:
         self._proof_dir = str(proof_dir) if proof_dir is not None else None
         if self._proof_dir is not None:
             os.makedirs(self._proof_dir, exist_ok=True)
-        self._pool = WorkerPool(workers=workers, master_seed=master_seed)
-        self._cache = cache if cache is not None else ResultCache(cache_size)
+        if workers <= 0:
+            raise RuntimeSubsystemError(f"workers must be positive, got {workers}")
+        self._workers = workers
+        self._master_seed = master_seed
+        self._cache = cache if cache is not None else ShardedResultCache()
 
     @property
-    def cache(self) -> ResultCache:
-        """The result cache fronting the pool."""
+    def cache(self) -> Union[ResultCache, ShardedResultCache]:
+        """The result cache fronting the executor."""
         return self._cache
-
-    @property
-    def pool(self) -> WorkerPool:
-        """The worker pool executing cache misses."""
-        return self._pool
 
     def make_job(
         self, formula, label: str = "", assumptions: Sequence[int] = ()
@@ -286,14 +289,15 @@ class BatchRunner:
         return report
 
     def run_jobs(self, jobs: Sequence[SolveJob]) -> BatchReport:
-        """Solve prepared jobs: cache front, pool for the misses.
+        """Solve prepared jobs: cache front, executor for the misses.
 
         Cache misses are additionally de-duplicated in flight: structurally
         identical formulas under the same assumptions *requesting the same
         solver* are solved once and the outcome is fanned out to the
         duplicates (marked ``from_cache`` when definitive). Jobs for the
         same formula under different solvers or different assumption sets
-        still run separately.
+        still run separately. Each verdict is stored as soon as its job is
+        collected, so a batch stopped partway keeps what it finished.
         """
         started = time.perf_counter()
         slots: list[Optional[SolveOutcome]] = [None] * len(jobs)
@@ -311,9 +315,23 @@ class BatchRunner:
             else:
                 misses.setdefault((key, job.solver), []).append((index, job))
         representatives = [entries[0][1] for entries in misses.values()]
-        solved = self._pool.run(representatives)
+        persist_failures = 0
+
+        def store(outcome: SolveOutcome) -> None:
+            # Losing durability must not lose the batch: ``put`` keeps the
+            # verdict in memory before it raises, as in the solve service.
+            nonlocal persist_failures
+            try:
+                self._cache.put(outcome)
+            except CachePersistError:
+                persist_failures += 1
+
+        executor = JobExecutor(workers=self._workers, master_seed=self._master_seed)
+        try:
+            solved = executor.run(representatives, on_outcome=store)
+        finally:
+            executor.shutdown()
         for entries, outcome in zip(misses.values(), solved):
-            self._cache.put(outcome)
             slots[entries[0][0]] = outcome
             for index, job in entries[1:]:
                 # Only definitive answers count as served-from-cache; a
@@ -327,8 +345,9 @@ class BatchRunner:
         report = BatchReport(
             outcomes=[o for o in slots if o is not None],
             wall_seconds=time.perf_counter() - started,
-            workers=self._pool.workers,
+            workers=self._workers,
             cache_stats=self._cache.stats,
+            persist_failures=persist_failures,
         )
         if _telemetry.active():
             for outcome in report.outcomes:

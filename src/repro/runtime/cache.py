@@ -8,74 +8,28 @@ solver the later job asked for. The cache therefore keys on
 :func:`repro.runtime.jobs.solve_cache_key`, which combines
 :meth:`repro.cnf.formula.CNFFormula.fingerprint` with the canonically
 sorted assumption literals (the bare fingerprint when there are none, so
-pre-assumption cache files stay valid). Different assumption sets can
-never collide. A job that preprocesses keys exactly like one that does
+entries persisted before assumptions existed stay valid). Different
+assumption sets can never collide. A job that preprocesses keys exactly like one that does
 not, so a cached model always satisfies the formula it is served for.
 Only definitive outcomes are stored; UNKNOWN/ERROR results are never
 cached.
 
-The cache can persist to a JSON file so separate CLI invocations share a
-warm cache (``repro.cli batch --cache-file``).
+:class:`ResultCache` lives in memory only. Persistence is
+:class:`~repro.runtime.shards.ShardedResultCache`'s job: it keeps one
+:class:`ResultCache` per shard in front of that shard's snapshot and
+write-ahead log.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from repro.exceptions import RuntimeSubsystemError
 from repro.runtime.jobs import SolveOutcome
 from repro.telemetry import instrument as _telemetry
-
-PathLike = Union[str, os.PathLike]
-
-
-def atomic_write_json(path: PathLike, payload) -> None:
-    """Crash-safe JSON write: temp file in the target directory, then rename.
-
-    The payload is written to a uniquely-named temporary file next to
-    ``path``, flushed and fsynced, and moved into place with
-    :func:`os.replace` — so a reader never observes a half-written file
-    and a crash at any point leaves either the old contents or the new,
-    never a torn mix. Used by :meth:`ResultCache.save` and by
-    :meth:`~repro.runtime.shards.ShardedResultCache.compact` for shard
-    snapshots.
-    """
-    target = os.fspath(path)
-    directory = os.path.dirname(target) or "."
-    fd, temp_path = tempfile.mkstemp(
-        dir=directory, prefix=os.path.basename(target) + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, target)
-    except BaseException:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
-        raise
-
-
-def decode_outcome(data: dict) -> Optional[SolveOutcome]:
-    """A persisted outcome, or ``None`` when the entry is stale.
-
-    Earlier releases stored preprocessed verdicts under the *reduced*
-    formula's key and marked them with a non-null ``solved_assumptions``.
-    Such a key can name a formula the cached model does not satisfy, so
-    those entries are skipped on load and dropped by the next compaction.
-    """
-    if data.get("solved_assumptions") is not None:
-        return None
-    return SolveOutcome.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -214,11 +168,6 @@ class ResultCache:
             _telemetry.emit("repro_cache_evictions_total", evicted)
         return True
 
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            self._entries.clear()
-
     def entries(self) -> list[tuple[str, SolveOutcome]]:
         """A consistent ``(key, outcome)`` snapshot in LRU order (oldest first).
 
@@ -240,53 +189,3 @@ class ResultCache:
                 size=len(self._entries),
                 max_size=self._max_size,
             )
-
-    # -- persistence ----------------------------------------------------------
-    def save(self, path: PathLike) -> int:
-        """Write the cache contents to ``path`` as JSON; returns entry count.
-
-        The write goes through :func:`atomic_write_json` (unique temp file
-        in the same directory, fsync, ``os.replace``) so a crash mid-save
-        can never corrupt or truncate an existing cache file. Outcome
-        payloads carry whatever :meth:`SolveOutcome.to_dict` defines —
-        including the assumption ``core`` and ``proof`` path — and files
-        written before a field existed load with that field at its default.
-        """
-        with self._lock:
-            payload = {
-                "version": 2,
-                "entries": [
-                    {"key": key, "outcome": outcome.to_dict()}
-                    for key, outcome in self._entries.items()
-                ],
-            }
-        atomic_write_json(path, payload)
-        return len(payload["entries"])
-
-    def load(self, path: PathLike) -> int:
-        """Merge entries from a :meth:`save` file; returns how many loaded.
-
-        Stale entries (see :func:`decode_outcome`) are skipped and not
-        counted. Unreadable or structurally wrong files raise
-        :class:`RuntimeSubsystemError`; a missing file is the caller's check.
-        """
-        # Broad catch by design: a cache file is untrusted persisted state,
-        # and any structural surprise must surface as the library's own
-        # error (which callers degrade on), never as a raw traceback.
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-            # Version-2 entries wrap the outcome with its key; version-1
-            # files stored bare outcomes. Either way the key is rebuilt
-            # from the outcome itself.
-            outcomes = [
-                decode_outcome(data["outcome"] if "outcome" in data else data)
-                for data in payload["entries"]
-            ]
-        except Exception as exc:  # noqa: BLE001 — persistence boundary
-            raise RuntimeSubsystemError(
-                f"cannot load cache file {path!r}: {exc}"
-            ) from exc
-        return sum(
-            1 for outcome in outcomes if outcome is not None and self.put(outcome)
-        )

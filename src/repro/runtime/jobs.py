@@ -90,8 +90,11 @@ class SolveJob:
         Carrier family name for the sampled NBL engine.
     timeout:
         Optional per-job wall-clock budget in seconds. Enforced
-        cooperatively by the classical solvers (and, in multi-worker
-        pools, by a parent-side grace window). The NBL engines check it
+        cooperatively by the classical solvers. A multi-worker batch
+        (:meth:`repro.runtime.pool.JobExecutor.run`) also gives up on a
+        worker after a parent-side grace window; the solve service has no
+        such window, so there a job that overruns keeps its executor slot
+        until its worker returns. The NBL engines check it
         only before they start and are bounded differently: the sampled
         engine by its ``samples`` budget, the symbolic engine by the pool's
         variable limit (:data:`repro.runtime.portfolio.EXPONENTIAL_LIMITS`)
@@ -212,10 +215,10 @@ class SolveOutcome:
     contender_seconds / contender_status:
         Per-contender timings and verdicts (portfolio mode only).
     core:
-        Minimized failing assumption core when the verdict is UNSAT under
-        assumptions; the empty tuple when the formula is UNSAT regardless
-        of the assumptions; ``None`` otherwise (mirrors
-        :attr:`repro.solvers.base.SolverResult.core`).
+        When the verdict is UNSAT under assumptions, a subset of the
+        assumptions that is UNSAT together with the formula; the empty
+        tuple when the refutation used no assumption; ``None`` otherwise
+        (mirrors :attr:`repro.solvers.base.SolverResult.core`).
     proof:
         Path of the DRAT proof file the job wrote (``""`` when no proof
         was requested). Cached replays of the outcome keep the path of the

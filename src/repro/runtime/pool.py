@@ -367,23 +367,29 @@ def _infrastructure_outcome(job: SolveJob, exc: BaseException) -> SolveOutcome:
 class JobExecutor:
     """Long-lived submit/collect executor over one execution strategy.
 
-    The reusable core under both :meth:`WorkerPool.run` (batch semantics:
-    submit a list, collect in order) and the
-    :class:`~repro.service.SolveService` event loop (streaming semantics:
-    submit as requests arrive, await each future). Three strategies:
+    The one executor under both :class:`~repro.runtime.batch.BatchRunner`
+    (batch semantics through :meth:`run`: submit a list, collect in
+    order) and the :class:`~repro.service.SolveService` event loop
+    (streaming semantics: submit as requests arrive, await each future).
+    Three strategies:
 
     * ``workers == 1`` *inline* (the default): :meth:`submit` executes the
       job synchronously and returns an already-resolved future — the
       serial batch path, with zero thread or pickling overhead.
     * ``workers == 1, inline=False``: a single worker thread, so
       :meth:`submit` returns immediately — what an event loop needs.
-    * ``workers > 1``: a process pool (``inline`` must be left off).
+    * ``workers > 1``: a process pool (``inline`` must be left off). A
+      pool that lost a worker process (SIGKILL, OOM) refuses all later
+      work, so :meth:`submit` replaces it with a fresh one.
 
     :meth:`submit` never raises for solver-level failures
     (:func:`execute_job` converts them to ``ERROR`` outcomes) and
     :meth:`collect` converts the remaining *infrastructure* failures —
     grace-window overruns, a died worker process — into outcomes too, so
     callers always receive one :class:`SolveOutcome` per job.
+
+    Outcomes are identical for any worker count: parallelism never changes
+    results, only wall-clock time.
     """
 
     def __init__(
@@ -414,19 +420,9 @@ class JobExecutor:
                 )
 
     @property
-    def workers(self) -> int:
-        """Configured worker count."""
-        return self._workers
-
-    @property
     def inline(self) -> bool:
         """``True`` when :meth:`submit` executes synchronously in-process."""
         return self._inline
-
-    @property
-    def master_seed(self) -> int:
-        """Root seed of the per-job seed derivation."""
-        return self._master_seed
 
     def submit(self, job: SolveJob) -> "concurrent.futures.Future[SolveOutcome]":
         """Queue one job; returns a future resolving to its outcome."""
@@ -434,7 +430,80 @@ class JobExecutor:
             future: concurrent.futures.Future = concurrent.futures.Future()
             future.set_result(execute_job(job, self._master_seed))
             return future
-        return self._pool.submit(execute_job, job, self._master_seed)
+        if self._workers > 1 and self._lost_worker():
+            self._replace_pool()
+        try:
+            return self._pool.submit(execute_job, job, self._master_seed)
+        except concurrent.futures.BrokenExecutor:
+            self._replace_pool()
+            return self._pool.submit(execute_job, job, self._master_seed)
+
+    def _lost_worker(self) -> bool:
+        """Whether a worker process of the pool has exited.
+
+        Polls the process sentinels, which become ready the moment a
+        worker dies, before the pool's own manager thread marks it broken:
+        a job submitted in between would fail with the dead worker.
+        """
+        import multiprocessing.connection
+
+        sentinels = [process.sentinel for process in self._processes().values()]
+        return bool(multiprocessing.connection.wait(sentinels, timeout=0))
+
+    def _processes(self) -> dict:
+        """The process pool's live worker table (empty for other strategies)."""
+        return getattr(self._pool, "_processes", None) or {}
+
+    def _replace_pool(self) -> None:
+        """Swap a broken process pool for a fresh one of the same size.
+
+        The old pool's manager fails every job still pending on it with
+        ``BrokenProcessPool``, which :meth:`collect` and the service turn
+        into ``ERROR`` outcomes.
+        """
+        self._pool.shutdown(wait=False)
+        self._pool = concurrent.futures.ProcessPoolExecutor(
+            max_workers=self._workers
+        )
+
+    def run(
+        self,
+        jobs: Sequence[SolveJob],
+        on_outcome: Optional[Callable[[SolveOutcome], None]] = None,
+    ) -> list[SolveOutcome]:
+        """Execute every job and return outcomes in job order.
+
+        ``on_outcome`` is called once per job, in job order, as soon as
+        that job is collected. Unless inline, a job with a ``timeout`` is
+        given up (a timed-out ``UNKNOWN``) once it overruns that timeout
+        plus a parent-side grace window; jobs without one are waited on
+        indefinitely.
+        """
+        if self._pool is None:
+            # Serial fast path: submit resolves synchronously, so each job
+            # runs when the loop below reaches it, strictly in order.
+            futures = map(self.submit, jobs)
+        else:
+            futures = [self.submit(job) for job in jobs]
+        # Worker processes keep their telemetry to themselves; the parent
+        # records their tasks as it collects them.
+        remote = self._workers > 1 and _telemetry.active()
+        pending = len(jobs)
+        if remote:
+            _telemetry.emit("repro_pool_queue_depth", pending)
+        outcomes = []
+        for job, future in zip(jobs, futures):
+            grace = job.timeout + _TIMEOUT_GRACE if job.timeout is not None else None
+            outcome = self.collect(future, job, grace=grace)
+            if on_outcome is not None:
+                on_outcome(outcome)
+            outcomes.append(outcome)
+            pending -= 1
+            if remote:
+                _telemetry.emit("repro_pool_queue_depth", pending)
+                _telemetry.emit("repro_pool_tasks_total", status=outcome.status)
+                _telemetry.emit("repro_pool_task_seconds", outcome.elapsed_seconds)
+        return outcomes
 
     def collect(
         self,
@@ -474,123 +543,11 @@ class JobExecutor:
         """
         if self._pool is None:
             return
+        # Taken before the shutdown, which drops the pool's process table.
+        processes = list(self._processes().values())
         self._pool.shutdown(
             wait=wait and not self._abandoned, cancel_futures=True
         )
         if self._abandoned:
-            for process in getattr(self._pool, "_processes", {}).values():
+            for process in processes:
                 process.terminate()
-
-
-class WorkerPool:
-    """Run :class:`SolveJob` lists across worker processes.
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes. ``1`` (the default) executes in-process,
-        avoiding process start-up and pickling costs for small batches.
-    master_seed:
-        Root of the deterministic per-job seed derivation.
-
-    Notes
-    -----
-    Outcomes are returned in job order regardless of completion order, and
-    are identical for any worker count — parallelism never changes results,
-    only wall-clock time.
-
-    Jobs without a ``timeout`` are waited on indefinitely by design (there
-    is no implicit budget); give every job a timeout when the batch must
-    have a bounded wall-clock time even in the face of a wedged worker.
-    """
-
-    def __init__(self, workers: int = 1, master_seed: int = 0) -> None:
-        if workers <= 0:
-            raise RuntimeSubsystemError(f"workers must be positive, got {workers}")
-        self._workers = workers
-        self._master_seed = master_seed
-
-    @property
-    def workers(self) -> int:
-        """Configured worker-process count."""
-        return self._workers
-
-    @property
-    def master_seed(self) -> int:
-        """Root seed of the per-job seed derivation."""
-        return self._master_seed
-
-    def executor(self, inline: Optional[bool] = None) -> JobExecutor:
-        """A fresh :class:`JobExecutor` sharing this pool's configuration.
-
-        ``inline`` defaults to in-process execution for a single worker
-        (the batch path); pass ``inline=False`` for a non-blocking
-        executor (the service event loop does, even at one worker).
-        """
-        return JobExecutor(
-            workers=self._workers, master_seed=self._master_seed, inline=inline
-        )
-
-    def run(
-        self,
-        jobs: Sequence[SolveJob],
-        on_outcome: Optional[Callable[[SolveOutcome], None]] = None,
-    ) -> list[SolveOutcome]:
-        """Execute every job and return outcomes in job order.
-
-        Parameters
-        ----------
-        jobs:
-            The work list.
-        on_outcome:
-            Optional progress callback, invoked once per finished job (in
-            job order).
-        """
-        if not jobs:
-            return []
-        # Note: a single job still goes through the process pool when
-        # workers > 1 — the parent-side grace window (the ability to abandon
-        # a wedged worker) only exists on that path.
-        executor = self.executor()
-        try:
-            if executor.inline:
-                # Serial fast path: submit resolves synchronously, so
-                # collect never waits and jobs run strictly in order.
-                outcomes = []
-                for job in jobs:
-                    outcome = executor.collect(executor.submit(job), job)
-                    if on_outcome is not None:
-                        on_outcome(outcome)
-                    outcomes.append(outcome)
-                return outcomes
-            return self._run_parallel(executor, jobs, on_outcome)
-        finally:
-            executor.shutdown()
-
-    def _run_parallel(
-        self,
-        executor: JobExecutor,
-        jobs: Sequence[SolveJob],
-        on_outcome: Optional[Callable[[SolveOutcome], None]],
-    ) -> list[SolveOutcome]:
-        outcomes: list[SolveOutcome] = []
-        futures = [executor.submit(job) for job in jobs]
-        pending = len(futures)
-        if _telemetry.active():
-            _telemetry.emit("repro_pool_queue_depth", pending)
-        for job, future in zip(jobs, futures):
-            grace = (
-                job.timeout + _TIMEOUT_GRACE if job.timeout is not None else None
-            )
-            outcome = executor.collect(future, job, grace=grace)
-            if on_outcome is not None:
-                on_outcome(outcome)
-            outcomes.append(outcome)
-            pending -= 1
-            if _telemetry.active():
-                _telemetry.emit("repro_pool_queue_depth", pending)
-                # The parent-side record of a job solved in a worker
-                # process (whose own telemetry is process-local).
-                _telemetry.emit("repro_pool_tasks_total", status=outcome.status)
-                _telemetry.emit("repro_pool_task_seconds", outcome.elapsed_seconds)
-        return outcomes

@@ -1,14 +1,15 @@
-"""Sharded, write-ahead persistent result cache for concurrent serving.
+"""Sharded, write-ahead persistent result cache: the one on-disk cache.
 
-A single :class:`~repro.runtime.cache.ResultCache` JSON file works for
-one-shot batch runs, but an always-on service needs verdicts to be
-durable *as they arrive* and needs many shards so no single file becomes
-a rewrite bottleneck. :class:`ShardedResultCache` splits entries across
-``N`` shards by a stable hash of the cache key; each shard holds
+``repro batch --cache-dir`` and ``repro serve --cache-dir`` both keep
+their verdicts here. Verdicts are durable *as they arrive*, and many
+shards keep any single file from becoming a rewrite bottleneck.
+:class:`ShardedResultCache` splits entries across ``N`` shards by a
+stable hash of the cache key; each shard holds
 
 * an in-memory :class:`~repro.runtime.cache.ResultCache`,
-* a snapshot file ``shard-NNN.json`` (the cache's own atomic save
-  format),
+* a snapshot file ``shard-NNN.json`` (``{"version": 2, "entries":
+  [{"key": ..., "outcome": ...}, ...]}``, written atomically by
+  :func:`atomic_write_json`),
 * a write-ahead log ``shard-NNN.wal`` — one JSON record per line,
   appended and flushed *before* the entry becomes visible in memory, so
   every verdict a caller ever observed survives a crash, and
@@ -28,7 +29,7 @@ because each append is flushed to the OS before the entry is published.
 :meth:`compact` *merges* under the shard lease: it folds the on-disk
 snapshot, the full WAL (including records appended by other processes)
 and this process's in-memory entries into a fresh snapshot (via
-:func:`~repro.runtime.cache.atomic_write_json`) before truncating the
+:func:`atomic_write_json`) before truncating the
 log — so a compaction by any writer preserves every writer's verdicts,
 and an entry that failed to WAL-append during a degraded spell is healed
 into the snapshot by the next successful compaction. Replay is
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import threading
 import time
 import zlib
@@ -57,17 +59,88 @@ from repro.exceptions import (
     CachePersistError,
     RuntimeSubsystemError,
 )
-from repro.runtime.cache import (
-    CacheStats,
-    ResultCache,
-    atomic_write_json,
-    decode_outcome,
-)
+from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.jobs import SolveOutcome
 from repro.runtime.locks import DEFAULT_LEASE_TIMEOUT, FileLease
 from repro.telemetry import instrument as _telemetry
 
 PathLike = Union[str, os.PathLike]
+
+
+def atomic_write_json(path: PathLike, payload) -> None:
+    """Crash-safe JSON write: temp file in the target directory, then rename.
+
+    The payload is written to a uniquely-named temporary file next to
+    ``path``, flushed and fsynced, and moved into place with
+    :func:`os.replace` — so a reader never observes a half-written file
+    and a crash at any point leaves either the old contents or the new,
+    never a torn mix. Used for shard snapshots and the shard metadata.
+    """
+    target = os.fspath(path)
+    directory = os.path.dirname(target) or "."
+    fd, temp_path = tempfile.mkstemp(
+        dir=directory, prefix=os.path.basename(target) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_path, target)
+    except BaseException:
+        try:
+            os.unlink(temp_path)
+        except OSError:
+            pass
+        raise
+
+
+def decode_outcome(data: dict) -> Optional[SolveOutcome]:
+    """A persisted outcome, or ``None`` when the entry is stale.
+
+    Earlier releases stored preprocessed verdicts under the *reduced*
+    formula's key and marked them with a non-null ``solved_assumptions``.
+    Such a key can name a formula the cached model does not satisfy, so
+    those entries are skipped on load and dropped by the next compaction.
+    """
+    if data.get("solved_assumptions") is not None:
+        return None
+    return SolveOutcome.from_dict(data)
+
+
+def _load_snapshot(path: str, target: ResultCache) -> int:
+    """Merge a snapshot file into ``target``; returns how many loaded.
+
+    A missing file loads nothing. Stale entries (see
+    :func:`decode_outcome`) are skipped and not counted. An unreadable
+    or structurally wrong file raises :class:`RuntimeSubsystemError`.
+    """
+    if not os.path.exists(path):
+        return 0
+    # Broad catch by design: a snapshot is untrusted persisted state, and
+    # any structural surprise must surface as the library's own error
+    # (which callers degrade on), never as a raw traceback.
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+        outcomes = [decode_outcome(entry["outcome"]) for entry in payload["entries"]]
+    except Exception as exc:  # noqa: BLE001 — persistence boundary
+        raise RuntimeSubsystemError(
+            f"cannot load cache snapshot {path!r}: {exc}"
+        ) from exc
+    return sum(
+        1 for outcome in outcomes if outcome is not None and target.put(outcome)
+    )
+
+
+def _write_snapshot(path: str, source: ResultCache) -> int:
+    """Atomically replace ``path`` with ``source``'s entries; their count."""
+    entries = [
+        {"key": key, "outcome": outcome.to_dict()}
+        for key, outcome in source.entries()
+    ]
+    atomic_write_json(path, {"version": 2, "entries": entries})
+    return len(entries)
 
 
 def shard_index(key: str, shards: int) -> int:
@@ -137,9 +210,7 @@ class _Shard:
             return (0, 0, 0)
         self._acquire_lease()
         try:
-            snapshot = 0
-            if os.path.exists(self.snapshot_path):
-                snapshot = self.cache.load(self.snapshot_path)
+            snapshot = _load_snapshot(self.snapshot_path, self.cache)
             replayed, torn = self._replay_wal(self.cache, trim=True)
             self.pending = replayed
             return (snapshot, replayed, torn)
@@ -151,7 +222,7 @@ class _Shard:
 
         Caller holds the lease. With ``trim``, a torn tail is cut back to
         the committed prefix so future appends never land after garbage.
-        Stale records (see :func:`~repro.runtime.cache.decode_outcome`)
+        Stale records (see :func:`decode_outcome`)
         are skipped: neither replayed nor torn, and replay goes on.
         """
         if not os.path.exists(self.wal_path):
@@ -270,8 +341,7 @@ class _Shard:
                     self._handle.close()
                     self._handle = None
                 merged = ResultCache(self._max_size)
-                if os.path.exists(self.snapshot_path):
-                    merged.load(self.snapshot_path)
+                _load_snapshot(self.snapshot_path, merged)
                 self._replay_wal(merged, trim=False)
                 for _, outcome in self.cache.entries():
                     # Own entries last: anything this process served is
@@ -279,7 +349,7 @@ class _Shard:
                     # spell) — the compaction heals the gap.
                     merged.put(outcome)
                 _faults.fire("shards.snapshot.write")
-                entries = merged.save(self.snapshot_path)
+                entries = _write_snapshot(self.snapshot_path, merged)
                 # Truncate only after the snapshot is durably in place: a
                 # crash in between leaves WAL records that replay to
                 # entries the snapshot already holds — idempotent, never
@@ -305,14 +375,14 @@ class ShardedResultCache:
     """A result cache split across ``N`` write-ahead-logged shard files.
 
     Drop-in for :class:`~repro.runtime.cache.ResultCache` at the
-    ``get``/``put``/``stats`` surface, built for the always-on service:
-    every stored verdict is appended to its shard's write-ahead log
-    before it becomes visible, so acknowledged results survive a crash
-    at any instruction boundary, and recovery tolerates (and trims) a
-    torn final record. Every WAL append, compaction and recovery replay
-    runs under a per-shard cross-process lease
-    (:class:`~repro.runtime.locks.FileLease`), so any number of server
-    processes can serve one cache directory concurrently.
+    ``get``/``put``/``stats`` surface, and the cache of both the batch
+    runner and the solve service: every stored verdict is appended to its
+    shard's write-ahead log before it becomes visible, so acknowledged
+    results survive a crash at any instruction boundary, and recovery
+    tolerates (and trims) a torn final record. Every WAL append,
+    compaction and recovery replay runs under a per-shard cross-process
+    lease (:class:`~repro.runtime.locks.FileLease`), so any number of
+    batch and server processes can share one cache directory.
 
     Parameters
     ----------

@@ -33,6 +33,7 @@ stdin/stdout, for supervision by a parent process). The wire format is
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import itertools
 import json
 import re
@@ -46,7 +47,7 @@ from repro import faults as _faults
 from repro.exceptions import CachePersistError, RuntimeSubsystemError
 from repro.runtime.jobs import ERROR, SolveJob, SolveOutcome, known_solver_specs
 from repro.runtime.locks import DEFAULT_LEASE_TIMEOUT
-from repro.runtime.pool import JobExecutor, WorkerPool
+from repro.runtime.pool import JobExecutor
 from repro.runtime.shards import ShardedResultCache
 from repro.service.protocol import (
     BAD_REQUEST,
@@ -306,10 +307,11 @@ class SolveService:
         if self._closing is None:
             self._closing = asyncio.Event()
         if self._executor is None:
-            self._executor = WorkerPool(
+            self._executor = JobExecutor(
                 workers=self._config.workers,
                 master_seed=self._config.master_seed,
-            ).executor(inline=False)
+                inline=False,
+            )
 
     def _next_id(self) -> str:
         return f"auto-{next(self._ids)}"
@@ -530,7 +532,13 @@ class SolveService:
         self._report_load()
         try:
             future = self._executor.submit(job)
-            return await asyncio.wrap_future(future)
+            try:
+                return await asyncio.wrap_future(future)
+            except concurrent.futures.BrokenExecutor:
+                # The worker process died under this job. Answer with the
+                # executor's ERROR outcome, which is never cached; the
+                # next submit replaces the broken pool.
+                return self._executor.collect(future, job)
         finally:
             self._sema.release()
             self._running -= 1

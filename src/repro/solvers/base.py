@@ -77,10 +77,12 @@ class SolverResult:
     #: ``True`` when the run ended because its wall-clock budget expired
     #: (the status is then ``UNKNOWN``).
     timed_out: bool = False
-    #: Minimized failing assumption core: set (to a subset of the given
-    #: assumptions) when the verdict is UNSAT *under assumptions*; the
-    #: empty tuple when the formula is UNSAT regardless of the assumptions;
-    #: ``None`` for every other run (no assumptions, or not UNSAT).
+    #: Failing assumption core, set when the verdict is UNSAT *under
+    #: assumptions*: a subset of the given assumptions that is UNSAT
+    #: together with the formula, and the empty tuple when the refutation
+    #: used no assumption (a formula UNSAT whatever the assumptions may
+    #: still be refuted through them). ``None`` for every other run (no
+    #: assumptions, or not UNSAT).
     core: Optional[tuple] = None
 
     @property

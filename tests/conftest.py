@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -34,6 +40,34 @@ def seed() -> int:
 def rng(seed: int) -> np.random.Generator:
     """A deterministic NumPy generator seeded from the shared master seed."""
     return np.random.default_rng(seed)
+
+
+@pytest.fixture
+def kill_new_children():
+    """A function that SIGKILLs the child processes started during the test.
+
+    It waits until every killed process has exited and returns how many
+    it killed — how the executor tests lose a process pool's workers.
+    """
+    before = {process.pid for process in multiprocessing.active_children()}
+
+    def kill() -> int:
+        victims = [
+            process
+            for process in multiprocessing.active_children()
+            if process.pid not in before
+        ]
+        for process in victims:
+            os.kill(process.pid, signal.SIGKILL)
+        pending = [process.sentinel for process in victims]
+        deadline = time.monotonic() + 30
+        while pending and time.monotonic() < deadline:
+            ready = multiprocessing.connection.wait(pending, timeout=1)
+            pending = [sentinel for sentinel in pending if sentinel not in ready]
+        assert not pending, "killed worker processes did not exit"
+        return len(victims)
+
+    return kill
 
 
 @pytest.fixture

@@ -108,19 +108,18 @@ class TestBatchCacheWithAssumptions:
         assert restored.cache_key == outcome.cache_key
 
     def test_persisted_cache_preserves_assumption_keys(self, tmp_path):
-        from repro.runtime import ResultCache
+        from repro.runtime import ShardedResultCache
 
-        cache = ResultCache()
-        runner = BatchRunner(solver="cdcl", cache=cache)
+        directory = tmp_path / "cache"
         formula = simple_formula()
-        runner.run_jobs(
-            [runner.make_job(formula, label="a", assumptions=(1, 2))]
-        )
-        path = tmp_path / "cache.json"
-        cache.save(path)
-        reloaded = ResultCache()
-        reloaded.load(path)
+        with ShardedResultCache(directory) as cache:
+            runner = BatchRunner(solver="cdcl", cache=cache)
+            solved = runner.run_jobs(
+                [runner.make_job(formula, label="a", assumptions=(1, 2))]
+            ).outcomes[0]
+        reloaded = ShardedResultCache(directory)
         key = runner.make_job(formula, assumptions=(1, 2)).cache_key
         hit = reloaded.get(key)
         assert hit is not None and hit.status == "UNSAT"
+        assert hit.assumptions == (1, 2) and hit.core == solved.core
         assert reloaded.get(formula.fingerprint()) is None

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import RuntimeSubsystemError
 from repro.runtime.cache import ResultCache
 from repro.runtime.jobs import SolveOutcome
+from repro.runtime.shards import ShardedResultCache, atomic_write_json
 
 
 def _outcome(fingerprint: str, status: str = "SAT", **kwargs) -> SolveOutcome:
@@ -107,18 +106,32 @@ class TestStatsAndServing:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = ResultCache()
-        cache.put(_outcome("a", assignment=(1, -2)))
-        cache.put(_outcome("b", status="UNSAT", assignment=None))
-        assert cache.save(path) == 2
+    """Persistence is the sharded cache's: verdicts survive a reopen."""
 
-        fresh = ResultCache()
-        assert fresh.load(path) == 2
+    def test_save_load_roundtrip(self, tmp_path):
+        directory = tmp_path / "cache"
+        with ShardedResultCache(directory) as cache:
+            cache.put(_outcome("a", assignment=(1, -2)))
+            cache.put(
+                _outcome(
+                    "b",
+                    status="UNSAT",
+                    assignment=None,
+                    assumptions=(1, -3),
+                    core=(-3,),
+                    proof="proofs/b.drat",
+                )
+            )
+            assert len(cache) == 2
+
+        fresh = ShardedResultCache(directory)
+        assert len(fresh) == 2
         hit = fresh.get("a")
         assert hit.assignment == (1, -2) and hit.status == "SAT"
-        assert fresh.get("b").status == "UNSAT"
+        unsat = fresh.get(_outcome("b", assumptions=(1, -3)).cache_key)
+        assert unsat.status == "UNSAT"
+        assert unsat.assumptions == (1, -3)
+        assert unsat.core == (-3,) and unsat.proof == "proofs/b.drat"
 
     def test_load_skips_stale_preprocessed_entries(self, tmp_path):
         # Earlier releases stored preprocessed verdicts under the reduced
@@ -127,28 +140,29 @@ class TestPersistence:
         # answer a formula their model does not satisfy: never serve them.
         poisoned = _outcome("reduced-fp", assignment=(2,)).to_dict()
         poisoned["solved_assumptions"] = []
-        path = tmp_path / "cache.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": 2,
-                    "entries": [
-                        {"key": "a", "outcome": _outcome("a").to_dict()},
-                        {"key": "reduced-fp", "outcome": poisoned},
-                        {"key": "original-fp", "outcome": poisoned},
-                        {"key": "b", "outcome": _outcome("b").to_dict()},
-                    ],
-                }
-            )
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        atomic_write_json(
+            directory / "shard-000.json",
+            {
+                "version": 2,
+                "entries": [
+                    {"key": "a", "outcome": _outcome("a").to_dict()},
+                    {"key": "reduced-fp", "outcome": poisoned},
+                    {"key": "original-fp", "outcome": poisoned},
+                    {"key": "b", "outcome": _outcome("b").to_dict()},
+                ],
+            },
         )
-        fresh = ResultCache()
-        assert fresh.load(path) == 2
+        fresh = ShardedResultCache(directory, shards=1)
+        assert len(fresh) == 2
         assert fresh.get("a") is not None and fresh.get("b") is not None
         assert fresh.get("reduced-fp") is None
         assert fresh.get("original-fp") is None
 
     def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json at all")
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        (directory / "shard-000.json").write_text("not json at all")
         with pytest.raises(RuntimeSubsystemError):
-            ResultCache().load(path)
+            ShardedResultCache(directory, shards=1)

@@ -9,7 +9,7 @@ import pytest
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import RuntimeSubsystemError
 from repro.runtime.jobs import SolveJob
-from repro.runtime.pool import JobExecutor, WorkerPool
+from repro.runtime.pool import JobExecutor
 
 
 def _sat_job(**overrides) -> SolveJob:
@@ -38,15 +38,6 @@ class TestConstruction:
         executor = JobExecutor(workers=1)
         assert executor.inline
         executor.shutdown()
-
-    def test_pool_factory_shares_configuration(self):
-        pool = WorkerPool(workers=1, master_seed=99)
-        executor = pool.executor()
-        assert executor.inline and executor.master_seed == 99
-        executor.shutdown()
-        nonblocking = pool.executor(inline=False)
-        assert not nonblocking.inline
-        nonblocking.shutdown()
 
 
 class TestInline:
@@ -121,13 +112,36 @@ class TestProcessPool:
         finally:
             executor.shutdown()
 
+    def test_run_collects_in_job_order(self):
+        executor = JobExecutor(workers=2)
+        try:
+            jobs = [_unsat_job(), _sat_job(), _unsat_job()]
+            seen = []
+            outcomes = executor.run(jobs, on_outcome=seen.append)
+            assert [o.status for o in outcomes] == ["UNSAT", "SAT", "UNSAT"]
+            assert seen == outcomes
+        finally:
+            executor.shutdown()
+
+    def test_pool_that_lost_its_workers_is_replaced(self, kill_new_children):
+        executor = JobExecutor(workers=2)
+        try:
+            job = _sat_job()
+            assert executor.collect(executor.submit(job), job).status == "SAT"
+            assert kill_new_children() == 2
+            jobs = [_sat_job(), _unsat_job(), _sat_job()]
+            outcomes = executor.run(jobs)
+            assert [o.status for o in outcomes] == ["SAT", "UNSAT", "SAT"]
+        finally:
+            executor.shutdown()
+
 
 class TestBatchEquivalence:
     def test_pool_run_unchanged_by_refactor(self):
-        """WorkerPool.run on the executor core keeps batch semantics."""
+        """JobExecutor.run keeps batch semantics."""
         jobs = [_sat_job(), _unsat_job()]
         seen = []
-        outcomes = WorkerPool(workers=1, master_seed=0).run(
+        outcomes = JobExecutor(workers=1, master_seed=0).run(
             jobs, on_outcome=seen.append
         )
         assert [outcome.status for outcome in outcomes] == ["SAT", "UNSAT"]

@@ -9,7 +9,7 @@ from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_ksat
 from repro.exceptions import RuntimeSubsystemError
 from repro.runtime.jobs import SolveJob
-from repro.runtime.pool import WorkerPool, derive_job_seed, execute_job
+from repro.runtime.pool import JobExecutor, derive_job_seed, execute_job
 
 
 def _jobs(count: int = 5, solver: str = "portfolio") -> list[SolveJob]:
@@ -22,6 +22,15 @@ def _jobs(count: int = 5, solver: str = "portfolio") -> list[SolveJob]:
         )
         for index in range(count)
     ]
+
+
+def _run(jobs, workers: int = 1, master_seed: int = 0, **kwargs):
+    """``JobExecutor(...).run(jobs)`` on a fresh executor, shut down after."""
+    executor = JobExecutor(workers=workers, master_seed=master_seed)
+    try:
+        return executor.run(jobs, **kwargs)
+    finally:
+        executor.shutdown()
 
 
 class TestSeedDerivation:
@@ -42,22 +51,22 @@ class TestSeedDerivation:
 class TestDeterminism:
     def test_same_master_seed_same_outcomes(self):
         jobs = _jobs()
-        first = WorkerPool(workers=1, master_seed=7).run(jobs)
-        second = WorkerPool(workers=1, master_seed=7).run(jobs)
+        first = _run(jobs, workers=1, master_seed=7)
+        second = _run(jobs, workers=1, master_seed=7)
         assert [o.status for o in first] == [o.status for o in second]
         assert [o.assignment for o in first] == [o.assignment for o in second]
         assert [o.winner for o in first] == [o.winner for o in second]
 
     def test_worker_count_does_not_change_outcomes(self):
         jobs = _jobs(4)
-        serial = WorkerPool(workers=1, master_seed=3).run(jobs)
-        parallel = WorkerPool(workers=2, master_seed=3).run(jobs)
+        serial = _run(jobs, workers=1, master_seed=3)
+        parallel = _run(jobs, workers=2, master_seed=3)
         assert [o.status for o in serial] == [o.status for o in parallel]
         assert [o.assignment for o in serial] == [o.assignment for o in parallel]
 
     def test_outcomes_preserve_job_order(self):
         jobs = _jobs(6)
-        outcomes = WorkerPool(workers=3, master_seed=0).run(jobs)
+        outcomes = _run(jobs, workers=3, master_seed=0)
         assert [o.label for o in outcomes] == [job.label for job in jobs]
 
 
@@ -131,7 +140,7 @@ class TestExecution:
             SolveJob(formula=CNFFormula.from_ints([[1]]), solver="bogus"),
             SolveJob(formula=CNFFormula.from_ints([[-1]]), solver="dpll"),
         ]
-        outcomes = WorkerPool().run(jobs)
+        outcomes = _run(jobs)
         assert [o.status for o in outcomes] == ["SAT", "ERROR", "SAT"]
 
     def test_non_library_exception_becomes_error_outcome(self, monkeypatch):
@@ -157,12 +166,12 @@ class TestExecution:
 class TestValidation:
     def test_workers_must_be_positive(self):
         with pytest.raises(RuntimeSubsystemError):
-            WorkerPool(workers=0)
+            JobExecutor(workers=0)
 
     def test_empty_job_list(self):
-        assert WorkerPool().run([]) == []
+        assert _run([]) == []
 
     def test_progress_callback_sees_every_outcome(self):
         seen = []
-        WorkerPool().run(_jobs(3), on_outcome=lambda o: seen.append(o.label))
+        _run(_jobs(3), on_outcome=lambda o: seen.append(o.label))
         assert seen == ["instance-0", "instance-1", "instance-2"]

@@ -11,7 +11,13 @@ from repro.cnf.generators import planted_ksat, random_ksat
 from repro.cnf.paper_instances import section4_unsat_instance
 from repro.cnf.structured import all_equal_formula, pigeonhole_formula
 from repro.preprocess.pipeline import Preprocessor
-from repro.runtime import BatchRunner, ResultCache, SolveJob, execute_job
+from repro.runtime import (
+    BatchRunner,
+    ResultCache,
+    ShardedResultCache,
+    SolveJob,
+    execute_job,
+)
 from repro.solvers.brute_force import BruteForceSolver
 from repro.telemetry import start_tracing, stop_tracing
 
@@ -247,14 +253,14 @@ class TestBatchRunnerPreprocess:
                 assert outcome.verified
 
     def test_preprocessed_entries_survive_persistence(self, tmp_path):
-        cache = ResultCache()
-        runner = BatchRunner(solver="cdcl", cache=cache, preprocess=True)
+        directory = tmp_path / "cache"
         formula = planted_ksat(7, 20, seed=5)[0]
-        runner.run_jobs([runner.make_job(formula, label="x")])
-        path = tmp_path / "cache.json"
-        saved = cache.save(path)
-        warm = ResultCache()
-        assert warm.load(path) == saved
+        with ShardedResultCache(directory) as cache:
+            runner = BatchRunner(solver="cdcl", cache=cache, preprocess=True)
+            runner.run_jobs([runner.make_job(formula, label="x")])
+            saved = len(cache)
+        warm = ShardedResultCache(directory)
+        assert len(warm) == saved
         assert warm.get(formula.fingerprint()) is not None
 
     def test_outcomes_keyed_on_own_fingerprint(self):
@@ -270,14 +276,12 @@ class TestBatchRunnerPreprocess:
         assert report.cache_hits == 1
 
     def test_cache_persistence_with_reduced_keys(self, tmp_path):
-        cache = ResultCache()
-        runner = BatchRunner(solver="cdcl", cache=cache, preprocess=True)
+        directory = tmp_path / "cache"
         formula = planted_ksat(7, 20, seed=9)[0]
-        runner.run_jobs([runner.make_job(formula, label="x")])
-        path = tmp_path / "cache.json"
-        cache.save(path)
-        warm_cache = ResultCache()
-        warm_cache.load(path)
+        with ShardedResultCache(directory) as cache:
+            runner = BatchRunner(solver="cdcl", cache=cache, preprocess=True)
+            runner.run_jobs([runner.make_job(formula, label="x")])
+        warm_cache = ShardedResultCache(directory)
         warm = BatchRunner(solver="cdcl", cache=warm_cache, preprocess=True)
         report = warm.run_jobs([warm.make_job(formula, label="x")])
         assert report.cache_hits == 1

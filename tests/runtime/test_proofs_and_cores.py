@@ -11,7 +11,7 @@ from repro.cnf.structured import pigeonhole_formula
 from repro.exceptions import RuntimeSubsystemError
 from repro.proofs import check_proof_file
 from repro.runtime.jobs import SolveJob, SolveOutcome
-from repro.runtime.pool import WorkerPool, execute_job
+from repro.runtime.pool import JobExecutor, execute_job
 
 CHAIN = CNFFormula.from_ints([[-1, 2], [-2, 3]], 3)
 
@@ -111,6 +111,26 @@ class TestExecuteJobCores:
         assert outcome.status == "UNSAT"
         assert set(outcome.core) == {2, -2}
 
+    def test_core_of_a_formula_unsat_whatever_the_assumptions(self):
+        # PHP(4,3) is UNSAT without any assumption, but the direct path
+        # searches under the assumption and may refute the formula through
+        # it. What holds is the documented contract: the core is a subset
+        # of the assumptions that is UNSAT together with the formula (it
+        # is not promised to be empty).
+        from repro.incremental import make_session
+        from repro.solvers.brute_force import BruteForceSolver
+
+        formula = pigeonhole_formula(4, 3)
+        outcome = execute_job(
+            SolveJob(formula=formula, solver="cdcl", assumptions=(1,))
+        )
+        assert outcome.status == "UNSAT"
+        session = make_session("cdcl", base_formula=formula)
+        assert session.solve((1,)).is_unsat
+        for core in (outcome.core, session.unsat_core()):
+            assert core is not None and set(core) <= {1}
+            assert BruteForceSolver().solve(formula.with_assumptions(core)).is_unsat
+
     def test_sat_outcome_has_no_core(self):
         outcome = execute_job(
             SolveJob(formula=CHAIN, solver="cdcl", assumptions=(1, 3))
@@ -161,7 +181,11 @@ def test_parallel_workers_write_proofs(tmp_path):
         )
         for index, formula in enumerate(formulas)
     ]
-    outcomes = WorkerPool(workers=2).run(jobs)
+    executor = JobExecutor(workers=2)
+    try:
+        outcomes = executor.run(jobs)
+    finally:
+        executor.shutdown()
     for job, formula, outcome in zip(jobs, formulas, outcomes):
         assert outcome.status == "UNSAT"
         result = check_proof_file(formula, job.proof)

@@ -12,9 +12,8 @@ import time
 import pytest
 
 from repro.exceptions import RuntimeSubsystemError
-from repro.runtime.cache import atomic_write_json
 from repro.runtime.jobs import SolveOutcome
-from repro.runtime.shards import ShardedResultCache, shard_index
+from repro.runtime.shards import ShardedResultCache, atomic_write_json, shard_index
 
 
 def _outcome(fingerprint: str, status: str = "SAT", **overrides) -> SolveOutcome:

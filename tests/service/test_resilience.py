@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -26,7 +27,7 @@ from repro import faults, telemetry
 from repro.exceptions import ServiceError
 from repro.faults import FaultPlan
 from repro.runtime.jobs import SolveOutcome
-from repro.runtime.pool import WorkerPool
+from repro.runtime.pool import JobExecutor
 from repro.runtime.shards import ShardedResultCache
 from repro.service import (
     RetryPolicy,
@@ -117,7 +118,7 @@ class TestGracefulDegradation:
         )
         previous = telemetry.get_metrics()
         registry = telemetry.enable_metrics(telemetry.MetricsRegistry())
-        executor = WorkerPool(workers=1).executor(inline=False)
+        executor = JobExecutor(workers=1, inline=False)
         service = SolveService(
             ServiceConfig(),
             cache=ShardedResultCache(directory=str(tmp_path / "c"), shards=1),
@@ -181,6 +182,71 @@ class TestGracefulDegradation:
         assert repeat["code"] == OK and repeat["from_cache"], (
             "unpersisted verdicts must still serve warm from memory"
         )
+
+
+class TestDeadWorker:
+    def test_killed_pool_workers_do_not_wedge_the_service(self, kill_new_children):
+        # A process pool that lost its workers refuses all later work; the
+        # executor must replace it, or every later solve is a 500.
+        executor = JobExecutor(workers=2, inline=False)
+        service = SolveService(ServiceConfig(solver="cdcl", workers=2), executor=executor)
+        formulas = [
+            ("unsat", "p cnf 1 2\n1 0\n-1 0\n", "UNSAT"),
+            ("sat", "p cnf 3 2\n1 2 0\n-1 3 0\n", "SAT"),
+            ("php", "p cnf 2 3\n1 0\n2 0\n-1 -2 0\n", "UNSAT"),
+        ]
+
+        async def run():
+            first = await service.handle_line(
+                json.dumps({"op": "solve", "id": "warm", "dimacs": DIMACS})
+            )
+            assert first["code"] == OK and first["status"] == "SAT"
+            assert kill_new_children() == 2
+            return [
+                await service.handle_line(
+                    json.dumps({"op": "solve", "id": name, "dimacs": dimacs})
+                )
+                for name, dimacs, _ in formulas
+            ]
+
+        try:
+            responses = asyncio.run(run())
+        finally:
+            executor.shutdown()
+        for (name, _, status), response in zip(formulas, responses):
+            assert response["code"] == OK, response
+            assert response["id"] == name and response["status"] == status
+            assert not response["from_cache"]
+        assert service.stats.failures == 0
+
+    def test_request_whose_worker_died_is_an_uncached_error(self):
+        # The future of the request whose worker process died fails with
+        # BrokenProcessPool: the answer is a 200 ERROR outcome, and the
+        # verdict is not cached, so a resend is solved again.
+        broken = concurrent.futures.Future()
+        broken.set_exception(BrokenProcessPool("died"))
+
+        class DyingExecutor(JobExecutor):
+            def submit(self, job):
+                self.submitted = getattr(self, "submitted", 0) + 1
+                return broken
+
+        executor = DyingExecutor(workers=1, inline=False)
+        service = SolveService(ServiceConfig(solver="cdcl"), executor=executor)
+
+        async def run():
+            line = json.dumps({"op": "solve", "id": "x", "dimacs": DIMACS})
+            return [await service.handle_line(line) for _ in range(2)]
+
+        try:
+            responses = asyncio.run(run())
+        finally:
+            executor.shutdown()
+        for response in responses:
+            assert response["code"] == OK and response["status"] == "ERROR"
+            assert "worker process died" in response["result"]["error"]
+        assert executor.submitted == 2
+        assert len(service.cache) == 0
 
 
 class TestBoundedDrain:

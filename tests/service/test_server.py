@@ -16,7 +16,7 @@ import pytest
 from repro.cnf.dimacs import to_dimacs
 from repro.exceptions import RuntimeSubsystemError
 from repro.runtime.jobs import SolveOutcome
-from repro.runtime.pool import WorkerPool
+from repro.runtime.pool import JobExecutor
 from repro.runtime.shards import ShardedResultCache
 from repro.service import ServiceConfig, SolveService, server
 from repro.service.protocol import BAD_REQUEST, FAILED, OK, REJECTED, TOO_LARGE
@@ -268,7 +268,7 @@ class TestCacheFront:
         # stored under its own key only: a later plain request for
         # ``core`` has to be solved, not served ``shifted``'s model.
         core, shifted = shared_core_pair
-        executor = WorkerPool(workers=1).executor(inline=False)
+        executor = JobExecutor(workers=1, inline=False)
         service = _service(executor=executor, solver="cdcl")
 
         async def run():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -13,6 +17,8 @@ from repro.cnf.paper_instances import (
     section4_sat_instance,
     section4_unsat_instance,
 )
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 @pytest.fixture
@@ -215,37 +221,103 @@ class TestBatchCommand:
         assert code == 0
         assert "workers=2" in capsys.readouterr().out
 
-    def test_batch_cache_file_warm_second_run(self, batch_dir, tmp_path, capsys):
+    def test_batch_cache_dir_warm_second_run(self, batch_dir, tmp_path, capsys):
         # --no-preprocess so every instance keys on its own fingerprint
         # (with preprocessing, instances sharing a reduced core would
         # already hit the cache within the cold run).
-        cache_file = str(tmp_path / "cache.json")
+        cache_dir = str(tmp_path / "cache")
         assert main(
-            ["batch", str(batch_dir), "--cache-file", cache_file,
+            ["batch", str(batch_dir), "--cache-dir", cache_dir,
              "--samples", "20000", "--no-preprocess"]
         ) == 0
         cold = capsys.readouterr().out
         assert "0 hits" in cold
         assert main(
-            ["batch", str(batch_dir), "--cache-file", cache_file,
+            ["batch", str(batch_dir), "--cache-dir", cache_dir,
              "--samples", "20000", "--no-preprocess"]
         ) == 0
         warm = capsys.readouterr().out
         assert "4 hits" in warm and "100% of batch" in warm
 
-    def test_batch_corrupt_cache_file_degrades_gracefully(
+    def test_batch_corrupt_cache_dir_degrades_gracefully(
         self, batch_dir, tmp_path, capsys
     ):
-        cache_file = tmp_path / "corrupt.json"
-        cache_file.write_text("truncated{")
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "shard-000.json").write_text("truncated{")
         code = main(
-            ["batch", str(batch_dir), "--cache-file", str(cache_file),
+            ["batch", str(batch_dir), "--cache-dir", str(cache_dir),
              "--samples", "20000"]
         )
         captured = capsys.readouterr()
         assert code == 0
-        assert "warning: ignoring cache file" in captured.err
+        assert "warning: ignoring cache directory" in captured.err
         assert "4 instances" in captured.out
+
+    def test_batch_persist_failure_warns_and_keeps_verdicts(
+        self, batch_dir, tmp_path, capsys
+    ):
+        # Every WAL append fails: the batch still succeeds, warns, and the
+        # in-memory verdicts reach the snapshot at the closing compaction.
+        from repro import faults
+        from repro.faults import FaultPlan
+        from repro.runtime import ShardedResultCache
+
+        cache_dir = tmp_path / "cache"
+        faults.install_plan(
+            FaultPlan([dict(point="shards.wal.append", kind="error", times=0)])
+        )
+        try:
+            code = main(
+                ["batch", str(batch_dir), "--cache-dir", str(cache_dir),
+                 "--solver", "cdcl", "--no-preprocess"]
+            )
+        finally:
+            faults.clear_plan()
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "4 instances" in captured.out
+        assert "warning: 4 verdicts could not be persisted" in captured.err
+        assert len(ShardedResultCache(cache_dir)) == 4
+
+    def test_concurrent_batches_share_one_cache_dir(self, tmp_path, capsys):
+        # Two batches running at once into one directory both keep their
+        # verdicts (a single rewritten file kept only the last writer's):
+        # a third run over both halves is served entirely from the cache.
+        from repro.cnf.generators import planted_ksat
+
+        halves = []
+        for half in range(2):
+            directory = tmp_path / f"half-{half}"
+            directory.mkdir()
+            for index in range(3):
+                formula, _ = planted_ksat(8, 20, seed=10 * half + index)
+                write_dimacs_file(formula, directory / f"sat-{index}.cnf")
+            halves.append(str(directory))
+        cache_dir = str(tmp_path / "cache")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        batches = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "batch", half,
+                 "--cache-dir", cache_dir, "--solver", "cdcl",
+                 "--no-preprocess"],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for half in halves
+        ]
+        for batch in batches:
+            out, err = batch.communicate(timeout=120)
+            assert batch.returncode == 0, err
+            assert "3 instances" in out and "0 hits" in out
+        assert main(
+            ["batch", *halves, "--cache-dir", cache_dir, "--solver", "cdcl",
+             "--no-preprocess"]
+        ) == 0
+        third = capsys.readouterr().out
+        assert "6 hits" in third and "100% of batch" in third
 
     def test_batch_single_solver_spec(self, batch_dir, capsys):
         code = main(
