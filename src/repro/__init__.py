@@ -24,7 +24,7 @@ The package implements the paper's NBL-SAT scheme end-to-end:
   (``add_clause``/``solve(assumptions)``/``push``/``pop``) over every
   solver spec, native in the CDCL engine;
 * :mod:`repro.runtime` — the high-throughput serving layer: batch
-  ingestion, worker pools, portfolio racing and the
+  ingestion, worker pools, per-instance solver selection and the
   ``(fingerprint, assumptions)``-keyed result cache;
 * :mod:`repro.telemetry` — structured tracing (nested spans), the
   process-wide metrics registry (Prometheus/JSON exporters) and the

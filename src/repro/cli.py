@@ -5,7 +5,7 @@ Usage (after installation)::
     python -m repro.cli check  instance.cnf --engine symbolic
     python -m repro.cli solve  instance.cnf --engine sampled --carrier bipolar
     python -m repro.cli preprocess instance.cnf -o reduced.cnf
-    python -m repro.cli batch  instances/ --workers 4 --portfolio
+    python -m repro.cli batch  instances/ --workers 4
     python -m repro.cli incremental queries.txt --solver cdcl
     python -m repro.cli figure1 --samples 500000
     python -m repro.cli solve instance.cnf --proof proof.drat
@@ -213,14 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--solver",
-        default=None,
+        default="portfolio",
         help="solver spec for every instance: portfolio, nbl-symbolic, "
-        "nbl-sampled, or a registry solver name (default: portfolio)",
-    )
-    batch.add_argument(
-        "--portfolio",
-        action="store_true",
-        help="shorthand for --solver portfolio",
+        "nbl-sampled, or a registry solver name (default: portfolio, "
+        "which runs nbl-symbolic up to 20 variables and cdcl above)",
     )
     batch.add_argument(
         "--cache-dir",
@@ -387,7 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--solver",
         default="portfolio",
         help="default solver spec for jobs that do not name one "
-        "(default: portfolio)",
+        "(default: portfolio, which runs nbl-symbolic up to 20 variables "
+        "and cdcl above)",
     )
     serve.add_argument(
         "--cache-dir",
@@ -399,8 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shards",
         type=int,
-        default=8,
-        help="cache shard count; pinned per directory (default: 8)",
+        default=None,
+        help="cache shard count; pinned per directory (default: the "
+        "directory's own count, 8 for a new one)",
     )
     serve.add_argument(
         "--shard-size",
@@ -650,13 +648,6 @@ def _run_batch(args: argparse.Namespace) -> int:
     from repro.exceptions import RuntimeSubsystemError
     from repro.runtime import BatchRunner, ShardedResultCache
 
-    if args.portfolio and args.solver and args.solver != "portfolio":
-        print(
-            f"error: --portfolio conflicts with --solver {args.solver}",
-            file=sys.stderr,
-        )
-        return 2
-    solver = args.solver or "portfolio"
     cache = None
     if args.cache_dir:
         # The cache is an optimization: an unreadable directory must not
@@ -669,7 +660,7 @@ def _run_batch(args: argparse.Namespace) -> int:
             print(f"c loaded {len(cache)} cached results from {args.cache_dir}")
     try:
         runner = BatchRunner(
-            solver=solver,
+            solver=args.solver,
             workers=args.workers,
             master_seed=args.seed,
             cache=cache,
@@ -828,7 +819,7 @@ def _run_incremental(args: argparse.Namespace) -> int:
 def _run_check(args: argparse.Namespace) -> int:
     """``check``: Algorithm 1 on the formula as given, by the registry engine."""
     from repro.exceptions import ReproError
-    from repro.runtime.portfolio import make_spec_solver, refusal_reason
+    from repro.runtime.jobs import make_spec_solver, refusal_reason
 
     spec = f"nbl-{args.engine}"
     try:

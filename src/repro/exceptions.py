@@ -58,7 +58,7 @@ class ProofError(ReproError):
 
 
 class RuntimeSubsystemError(ReproError):
-    """Raised by the batch/portfolio runtime for invalid jobs or pool states."""
+    """Raised by the batch runtime for invalid jobs or pool states."""
 
 
 class CacheLockError(RuntimeSubsystemError):

@@ -10,7 +10,8 @@ equivalence checks); this package keeps solver state alive between them:
 * :class:`ResolveSession` — the generic re-solve fallback wrapping any
   other registered solver, the NBL engines included;
 * :class:`JobSession` — runs each query as one runtime job: the
-  portfolio's sessions and every preprocessing session;
+  sessions of the default ``"portfolio"`` spec and every preprocessing
+  session;
 * :func:`make_session` — factory understanding every runtime solver spec.
 
 Quickstart (register-allocation k-sweep)::

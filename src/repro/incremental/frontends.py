@@ -1,10 +1,11 @@
 """The job-backed session, and the factory for every runtime spec.
 
 Registry solvers (the NBL engines included) get their sessions through
-:meth:`repro.solvers.base.SATSolver.make_session`. Portfolio sessions and
-preprocessing sessions instead answer each query as one runtime job, so
-the portfolio race and preprocess-then-solve are each decided in one
-place: :func:`repro.runtime.pool.execute_job`.
+:meth:`repro.solvers.base.SATSolver.make_session`. Sessions of the
+default ``"portfolio"`` spec and preprocessing sessions instead answer
+each query as one runtime job, so the per-query solver selection and
+preprocess-then-solve are each decided in one place:
+:func:`repro.runtime.pool.execute_job`.
 """
 
 from __future__ import annotations
@@ -15,9 +16,14 @@ from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import SolverError
 from repro.incremental.session import IncrementalSession
-from repro.runtime.jobs import ERROR, PORTFOLIO_SPEC, SolveJob, known_solver_specs
+from repro.runtime.jobs import (
+    ERROR,
+    PORTFOLIO_SPEC,
+    SolveJob,
+    known_solver_specs,
+    make_spec_solver,
+)
 from repro.runtime.pool import execute_job
-from repro.runtime.portfolio import make_spec_solver
 from repro.solvers.base import SolverResult, SolverStats
 
 
@@ -123,14 +129,14 @@ def make_session(
     base_formula / num_variables:
         Initial problem (see :class:`IncrementalSession`).
     seed:
-        Seed for stochastic solvers (WalkSAT, GSAT, the sampled engine,
-        the portfolio's stochastic contenders).
+        Seed for stochastic solvers (WalkSAT, GSAT, the sampled engine).
     samples / carrier:
         Sampled-NBL engine budget and carrier family.
     preprocess:
         Run every query as ``SolveJob(preprocess=True)``: the inprocessing
         pipeline runs on the accumulated formula with the query's
-        assumption variables frozen, for any spec. Portfolio sessions and
+        assumption variables frozen, for any spec. Portfolio sessions
+        (which select the solver on each query's accumulated formula) and
         preprocessing sessions are :class:`JobSession` objects, which keep
         no solver state between queries and take no proof log.
     """

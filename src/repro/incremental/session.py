@@ -29,8 +29,9 @@ Two solver-backed implementations share the interface:
   assumptions appended as unit clauses. Same semantics, none of the
   warm-start benefit.
 
-Portfolio and preprocessing sessions answer each query as one runtime job
-instead (:class:`repro.incremental.JobSession`).
+Sessions of the default ``"portfolio"`` spec and preprocessing sessions
+answer each query as one runtime job instead
+(:class:`repro.incremental.JobSession`).
 
 Semantics shared by all sessions: ``solve(assumptions)`` is equivalent to
 solving ``session.formula().with_assumptions(assumptions)`` from scratch — an
@@ -246,7 +247,7 @@ class IncrementalSession(abc.ABC):
         Sessions over a registry solver accept a sink (a solver that is
         not proof-capable leaves it empty and flags it incomplete on its
         UNSAT verdicts). A :class:`~repro.incremental.JobSession` — the
-        session of the portfolio and of every ``preprocess=True`` spec —
+        session of ``"portfolio"`` and of every ``preprocess=True`` spec —
         raises :class:`SolverError`; a proof of a preprocessed solve comes
         from ``SolveJob(preprocess=True, proof=path)``. The log records the
         derivations of subsequent queries; it stays checkable against the

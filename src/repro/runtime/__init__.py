@@ -1,10 +1,12 @@
-"""repro.runtime — high-throughput batch & portfolio solving subsystem.
+"""repro.runtime — high-throughput batch solving subsystem.
 
 The rest of the library solves one formula at a time in-process; this
 package is the serving layer in front of it:
 
 * :mod:`repro.runtime.jobs` — :class:`SolveJob` / :class:`SolveOutcome`,
-  the picklable unit of work and its transportable result;
+  the picklable unit of work and its transportable result, and the spec
+  policy: which solvers exist, take seeds or samples, emit proofs, and
+  the variable limits of the exponential ones;
 * :mod:`repro.runtime.cache` — :class:`ResultCache`, an in-memory LRU
   keyed by the canonical ``(formula fingerprint, assumptions)`` pair;
 * :mod:`repro.runtime.shards` — :class:`ShardedResultCache`, the one
@@ -19,9 +21,9 @@ package is the serving layer in front of it:
 * :mod:`repro.runtime.pool` — :func:`execute_job` and
   :class:`JobExecutor`, deterministic inline, threaded or multi-process
   job execution with per-job seed derivation and timeouts, shared by the
-  batch runner and the solve service;
-* :mod:`repro.runtime.portfolio` — :class:`PortfolioSolver`, racing the
-  NBL engines against the classical baselines;
+  batch runner and the solve service. A job naming the default
+  ``"portfolio"`` spec runs one solver chosen by the formula's variable
+  count: the paper's exact NBL engine up to 20 variables, CDCL above;
 * :mod:`repro.runtime.batch` — :class:`BatchRunner`, directory/glob
   ingestion of DIMACS files with aggregate statistics.
 
@@ -39,24 +41,14 @@ from repro.runtime.cache import CacheStats, ResultCache
 from repro.runtime.jobs import SolveJob, SolveOutcome, solve_cache_key
 from repro.runtime.locks import FileLease
 from repro.runtime.pool import JobExecutor, derive_job_seed, execute_job
-from repro.runtime.portfolio import (
-    DEFAULT_CONTENDERS,
-    ContenderReport,
-    PortfolioResult,
-    PortfolioSolver,
-)
 from repro.runtime.shards import ShardedResultCache, atomic_write_json, shard_index
 
 __all__ = [
     "BatchReport",
     "BatchRunner",
     "CacheStats",
-    "ContenderReport",
-    "DEFAULT_CONTENDERS",
     "FileLease",
     "JobExecutor",
-    "PortfolioResult",
-    "PortfolioSolver",
     "ResultCache",
     "ShardedResultCache",
     "SolveJob",

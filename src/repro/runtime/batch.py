@@ -166,7 +166,9 @@ class BatchRunner:
     ----------
     solver:
         Solver spec applied to every instance (see
-        :class:`~repro.runtime.jobs.SolveJob`); default is the portfolio.
+        :class:`~repro.runtime.jobs.SolveJob`); the default
+        ``"portfolio"`` runs the exact NBL engine up to 20 variables and
+        CDCL above.
     workers:
         Worker count of the :class:`~repro.runtime.pool.JobExecutor` each
         run builds (1 solves in-process).
@@ -190,7 +192,7 @@ class BatchRunner:
         executed job, named ``<job_id>.drat``; each outcome records its
         file in :attr:`~repro.runtime.jobs.SolveOutcome.proof`. Requires
         a classical (proof-capable) solver spec — rejected up front for
-        the NBL engine and the portfolio. Cache hits reuse the proof
+        the NBL engines and ``"portfolio"``. Cache hits reuse the proof
         path of the run that produced the verdict.
     """
 

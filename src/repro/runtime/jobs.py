@@ -9,33 +9,74 @@ strings, numbers and integer tuples only, so it round-trips through both
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cnf.formula import CNFFormula
 from repro.exceptions import RuntimeSubsystemError
-from repro.solvers.registry import available_solvers
+from repro.solvers.base import SATSolver
+from repro.solvers.registry import available_solvers, make_solver
 
 #: The registry specs that run an NBL engine: they take the job's sample
 #: budget and carrier, and report ``samples_used``.
 NBL_SPECS = ("nbl-symbolic", "nbl-sampled")
-#: The one runtime spec that is not a registry solver: the portfolio racer.
+#: The one runtime spec that is not a registry solver: the default, which
+#: runs the exact NBL engine where its variable limit allows and CDCL
+#: otherwise (see :func:`repro.runtime.pool.execute_job`).
 PORTFOLIO_SPEC = "portfolio"
 #: The specs that cannot emit DRAT derivations, so no job naming one
 #: may ask for a proof.
 NO_PROOF_SPECS = NBL_SPECS + (PORTFOLIO_SPEC,)
+#: Classical solvers that accept a ``seed`` constructor argument.
+SEEDED_SOLVERS = ("walksat", "gsat")
+#: Solvers whose cost is exponential in the variable count: a job naming
+#: one fails fast beyond its limit, and the default spec selects
+#: ``nbl-symbolic`` only within it. The hybrid solver is listed because
+#: its (default) symbolic guidance enumerates the residual formula's
+#: minterms at every DPLL decision.
+EXPONENTIAL_LIMITS = {"nbl-symbolic": 20, "brute-force": 24, "hybrid": 20}
 
 #: Outcome statuses. ``SAT``/``UNSAT``/``UNKNOWN`` mirror the solver
-#: verdicts; ``ERROR`` marks jobs that raised instead of answering and
-#: ``SKIPPED`` marks portfolio contenders that never ran (over a variable
-#: limit, or out of time).
+#: verdicts; ``ERROR`` marks jobs that raised instead of answering.
 ERROR = "ERROR"
-SKIPPED = "SKIPPED"
 
 
 def known_solver_specs() -> set[str]:
     """Every solver spec a job may name: the registry plus ``"portfolio"``."""
     return set(available_solvers()) | {PORTFOLIO_SPEC}
+
+
+def refusal_reason(solver: str, formula: CNFFormula) -> Optional[str]:
+    """Why ``solver`` must not be run on ``formula``, or ``None`` if it may.
+
+    Single source of the exponential-cost refusal policy, shared by the
+    worker pool (which fails the job fast, and selects the default spec's
+    solver by it) and ``repro check``.
+    """
+    limit = EXPONENTIAL_LIMITS.get(solver)
+    if limit is not None and formula.num_variables > limit:
+        return (
+            f"{formula.num_variables} variables exceed {solver}'s "
+            f"{limit}-variable limit"
+        )
+    return None
+
+
+def make_spec_solver(
+    spec: str, seed: Optional[int], samples: int, carrier: str
+) -> SATSolver:
+    """The registry solver for one run of runtime solver ``spec``.
+
+    The one place that decides constructor arguments per spec, shared by
+    the worker pool, ``repro check`` and the session factory: the NBL
+    engines get the sample budget, carrier and seed, the stochastic local
+    searches get the seed, and every other solver its defaults.
+    """
+    if spec in NBL_SPECS:
+        return make_solver(spec, samples=samples, carrier=carrier, seed=seed)
+    if spec in SEEDED_SOLVERS:
+        return make_solver(spec, seed=seed)
+    return make_solver(spec)
 
 
 def solve_cache_key(fingerprint: str, assumptions: tuple[int, ...] = ()) -> str:
@@ -83,7 +124,10 @@ class SolveJob:
         Solver spec: ``"portfolio"`` or any registry solver name
         (``"nbl-symbolic"``, ``"nbl-sampled"``, ``"dpll"``, ``"cdcl"``,
         ``"walksat"``, ``"gsat"``, ``"brute-force"``, ``"hybrid"``, ...;
-        see :func:`known_solver_specs`).
+        see :func:`known_solver_specs`). The default ``"portfolio"`` runs
+        ``"nbl-symbolic"`` on a formula within its variable limit
+        (:data:`EXPONENTIAL_LIMITS`) and ``"cdcl"`` on any larger one,
+        exactly as a job naming that solver would.
     samples:
         Sample budget per check for the sampled NBL engine.
     carrier:
@@ -97,7 +141,7 @@ class SolveJob:
         until its worker returns. The NBL engines check it
         only before they start and are bounded differently: the sampled
         engine by its ``samples`` budget, the symbolic engine by the pool's
-        variable limit (:data:`repro.runtime.portfolio.EXPONENTIAL_LIMITS`)
+        variable limit (:data:`EXPONENTIAL_LIMITS`)
         — so pick ``samples``, not ``timeout``, to cap sampled-NBL jobs in
         a serial pool. With ``preprocess`` one budget covers the
         pipeline and the residual solve.
@@ -126,7 +170,8 @@ class SolveJob:
         path, not a log object, so the job stays picklable across the
         worker-process boundary). Requires a proof-capable solver spec —
         a classical registry name — and is rejected for the NBL engine
-        and portfolio specs, which cannot emit derivations. With
+        specs and the default ``"portfolio"``, whose small formulas go to
+        the NBL engine, which cannot emit derivations. With
         ``preprocess`` the pipeline's elimination lines come first and
         the residual solver's lines are translated back into the original
         numbering, so the file checks against the job's input formula.
@@ -197,8 +242,9 @@ class SolveOutcome:
     solver:
         The solver spec the job requested.
     winner:
-        The concrete engine/solver that produced the answer (equals
-        ``solver`` outside portfolio mode).
+        The concrete engine/solver that produced the answer: ``solver``
+        itself, the one the default ``"portfolio"`` spec selected, or
+        ``"preprocess"`` when the pipeline decided the job alone.
     assignment:
         Satisfying assignment as DIMACS-signed integers when SAT.
     verified:
@@ -212,8 +258,6 @@ class SolveOutcome:
         ``True`` when the job's wall-clock budget expired.
     error:
         Exception text when ``status == "ERROR"``.
-    contender_seconds / contender_status:
-        Per-contender timings and verdicts (portfolio mode only).
     core:
         When the verdict is UNSAT under assumptions, a subset of the
         assumptions that is UNSAT together with the formula; the empty
@@ -239,8 +283,6 @@ class SolveOutcome:
     from_cache: bool = False
     timed_out: bool = False
     error: str = ""
-    contender_seconds: dict[str, float] = field(default_factory=dict)
-    contender_status: dict[str, str] = field(default_factory=dict)
     core: Optional[tuple[int, ...]] = None
     proof: str = ""
 
@@ -278,15 +320,17 @@ class SolveOutcome:
             "samples_used": self.samples_used,
             "timed_out": self.timed_out,
             "error": self.error,
-            "contender_seconds": dict(self.contender_seconds),
-            "contender_status": dict(self.contender_status),
             "core": list(self.core) if self.core is not None else None,
             "proof": self.proof,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveOutcome":
-        """Inverse of :meth:`to_dict` (``from_cache`` always starts False)."""
+        """Inverse of :meth:`to_dict` (``from_cache`` always starts False).
+
+        Unknown keys are ignored, so cache and WAL records written by
+        older versions, with their per-racer timing maps, still load.
+        """
         assignment = data.get("assignment")
         return cls(
             job_id=data["job_id"],
@@ -302,8 +346,6 @@ class SolveOutcome:
             samples_used=data.get("samples_used", 0),
             timed_out=data.get("timed_out", False),
             error=data.get("error", ""),
-            contender_seconds=dict(data.get("contender_seconds", {})),
-            contender_status=dict(data.get("contender_status", {})),
             core=tuple(data["core"]) if data.get("core") is not None else None,
             proof=data.get("proof", ""),
         )

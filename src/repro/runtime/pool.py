@@ -15,6 +15,7 @@ regardless of the worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import time
 from typing import Callable, Optional, Sequence
@@ -22,9 +23,16 @@ from typing import Callable, Optional, Sequence
 from repro import faults as _faults
 from repro.cnf.assignment import Assignment
 from repro.exceptions import RuntimeSubsystemError
-from repro.runtime.jobs import ERROR, NBL_SPECS, PORTFOLIO_SPEC, SolveJob, SolveOutcome
 from repro.proofs.log import resolve_proof_log
-from repro.runtime.portfolio import PortfolioSolver, make_spec_solver, refusal_reason
+from repro.runtime.jobs import (
+    ERROR,
+    NBL_SPECS,
+    PORTFOLIO_SPEC,
+    SolveJob,
+    SolveOutcome,
+    make_spec_solver,
+    refusal_reason,
+)
 from repro.telemetry import instrument as _telemetry
 
 #: Extra parent-side wall-clock grace (seconds) on top of a job's own
@@ -66,10 +74,21 @@ def _outcome(job: SolveJob, status: str, **fields) -> SolveOutcome:
 def execute_job(job: SolveJob, master_seed: int = 0) -> SolveOutcome:
     """Run one job to completion and return its outcome.
 
+    A job naming the default ``"portfolio"`` spec runs exactly as the job
+    naming one selected solver would: the paper's exact NBL engine when
+    its variable limit admits the input formula, CDCL otherwise. The
+    outcome keeps ``solver="portfolio"``; ``winner`` names the selection.
+
     Never raises for solver-level failures — any exception (including
     non-library ones such as ``RecursionError``) becomes an ``"ERROR"``
     outcome so one bad instance cannot take down a batch.
     """
+    requested = job.solver
+    if requested == PORTFOLIO_SPEC:
+        selected = "nbl-symbolic"
+        if refusal_reason(selected, job.formula) is not None:
+            selected = "cdcl"
+        job = dataclasses.replace(job, solver=selected)
     seed = (
         job.seed
         if job.seed is not None
@@ -102,6 +121,7 @@ def execute_job(job: SolveJob, master_seed: int = 0) -> SolveOutcome:
                 outcome = _execute_direct(job, seed, job)
         except Exception as exc:  # noqa: BLE001 — batch isolation boundary
             outcome = _outcome(job, ERROR, error=f"{type(exc).__name__}: {exc}")
+        outcome.solver = requested
         outcome.elapsed_seconds = time.perf_counter() - started
         if task_span.recording:
             task_span.set(
@@ -124,10 +144,8 @@ def _execute_direct(job: SolveJob, seed: int, identity: SolveJob) -> SolveOutcom
     refusal = refusal_reason(job.solver, job.formula)
     if refusal is not None:
         # Exponential-cost solvers would hang far past any timeout; fail
-        # the job fast instead (the portfolio skips them the same way).
+        # the job fast instead.
         return _outcome(identity, ERROR, error=f"{job.solver} refused: {refusal}")
-    if job.solver == PORTFOLIO_SPEC:
-        return _execute_portfolio(job, seed, identity)
     return _execute_solver(job, seed, identity)
 
 
@@ -260,9 +278,8 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
         )
         inverse = {new: old for old, new in reduction.variable_map.items()}
         if log is not None:
-            # Proof-bearing jobs never name the portfolio (validated at
-            # job construction), so dispatch to the solver directly with
-            # the renaming view over the shared log.
+            # Dispatch to the solver directly with the renaming view over
+            # the shared log.
             outcome = _execute_solver(
                 reduced_job, seed, job, proof_log=log.translated(inverse)
             )
@@ -287,24 +304,6 @@ def _execute_preprocessed(job: SolveJob, seed: int) -> SolveOutcome:
             model.get(var) == value for var, value in values.items()
         )
     return outcome
-
-
-def _execute_portfolio(job: SolveJob, seed: int, identity: SolveJob) -> SolveOutcome:
-    portfolio = PortfolioSolver(samples=job.samples, carrier=job.carrier)
-    result = portfolio.solve(
-        job.formula, seed=seed, timeout=job.timeout, assumptions=job.assumptions
-    )
-    return _outcome(
-        identity,
-        result.status,
-        winner=result.winner,
-        assignment=_assignment_ints(result.assignment),
-        verified=result.verified,
-        samples_used=result.samples_used,
-        timed_out=result.timed_out,
-        contender_seconds=result.contender_seconds,
-        contender_status=result.contender_status,
-    )
 
 
 def _execute_solver(

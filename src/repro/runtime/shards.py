@@ -66,6 +66,10 @@ from repro.telemetry import instrument as _telemetry
 
 PathLike = Union[str, os.PathLike]
 
+#: Shard count of a new cache directory (or an in-memory cache) opened
+#: without an explicit one.
+DEFAULT_SHARDS = 8
+
 
 def atomic_write_json(path: PathLike, payload) -> None:
     """Crash-safe JSON write: temp file in the target directory, then rename.
@@ -395,7 +399,9 @@ class ShardedResultCache:
         Number of shards; keys are assigned by :func:`shard_index`.
         Changing the count over an existing directory would misplace
         keys, so the count is persisted in ``shards.meta.json`` and a
-        mismatch raises :class:`RuntimeSubsystemError`.
+        mismatch raises :class:`RuntimeSubsystemError`. ``None`` (the
+        default) takes the directory's persisted count, and
+        :data:`DEFAULT_SHARDS` for a new directory or an in-memory cache.
     shard_size:
         LRU capacity *per shard* (total capacity = ``shards * shard_size``).
     compact_threshold:
@@ -424,13 +430,13 @@ class ShardedResultCache:
     def __init__(
         self,
         directory: Optional[PathLike] = None,
-        shards: int = 8,
+        shards: Optional[int] = None,
         shard_size: int = 4096,
         compact_threshold: int = 1024,
         fsync: bool = False,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
     ) -> None:
-        if shards <= 0:
+        if shards is not None and shards <= 0:
             raise RuntimeSubsystemError(
                 f"shard count must be positive, got {shards}"
             )
@@ -450,7 +456,9 @@ class ShardedResultCache:
         self.failed_compactions = 0
         if self._directory is not None:
             os.makedirs(self._directory, exist_ok=True)
-            self._check_meta(shards, shard_size)
+            shards = self._check_meta(shards, shard_size)
+        elif shards is None:
+            shards = DEFAULT_SHARDS
         self._shards = [
             _Shard(index, self._directory, shard_size, fsync, lease_timeout)
             for index in range(shards)
@@ -458,7 +466,12 @@ class ShardedResultCache:
         if self._directory is not None:
             self.load()
 
-    def _check_meta(self, shards: int, shard_size: int) -> None:
+    def _check_meta(self, shards: Optional[int], shard_size: int) -> int:
+        """The directory's shard count, persisted on first open.
+
+        ``shards=None`` adopts the persisted count; an explicit count
+        must match it.
+        """
         meta_path = os.path.join(self._directory, "shards.meta.json")
         # The directory-level lease serialises first-writer meta creation:
         # two servers starting concurrently on a fresh directory must
@@ -478,17 +491,20 @@ class ShardedResultCache:
                     raise RuntimeSubsystemError(
                         f"cannot read shard metadata {meta_path!r}: {exc}"
                     ) from exc
-                if existing != shards:
+                if shards is not None and existing != shards:
                     raise RuntimeSubsystemError(
                         f"cache directory {self._directory!r} was written with "
                         f"{existing} shards; reopening with {shards} would "
                         f"misplace keys"
                     )
-            else:
-                atomic_write_json(
-                    meta_path,
-                    {"version": 1, "shards": shards, "shard_size": shard_size},
-                )
+                return existing
+            if shards is None:
+                shards = DEFAULT_SHARDS
+            atomic_write_json(
+                meta_path,
+                {"version": 1, "shards": shards, "shard_size": shard_size},
+            )
+            return shards
         finally:
             meta_lease.release()
 

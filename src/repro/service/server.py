@@ -1,7 +1,7 @@
 """The always-on asyncio solve server.
 
 :class:`SolveService` keeps the full solving stack — preprocessing,
-solvers, portfolio, proofs — resident and answers a stream of requests
+solvers, proofs — resident and answers a stream of requests
 with three serving guarantees the one-shot batch runner cannot give:
 
 * **In-flight deduplication.** Concurrent requests for a structurally
@@ -93,7 +93,8 @@ class ServiceConfig:
         Directory for the sharded persistent cache; ``None`` serves from
         memory only.
     shards / shard_size / compact_threshold / fsync:
-        Forwarded to :class:`~repro.runtime.shards.ShardedResultCache`.
+        Forwarded to :class:`~repro.runtime.shards.ShardedResultCache`
+        (``shards=None`` adopts the cache directory's persisted count).
     max_inflight:
         Most solves submitted to the executor at once.
     queue_limit:
@@ -122,7 +123,7 @@ class ServiceConfig:
     timeout: Optional[float] = None
     preprocess: bool = False
     cache_dir: Optional[str] = None
-    shards: int = 8
+    shards: Optional[int] = None
     shard_size: int = 4096
     compact_threshold: int = 1024
     fsync: bool = False
@@ -220,8 +221,9 @@ class SolveService:
     Parameters
     ----------
     config:
-        The :class:`ServiceConfig`; defaults serve the portfolio from an
-        in-memory cache with one worker thread.
+        The :class:`ServiceConfig`; defaults serve the ``"portfolio"``
+        spec (the exact NBL engine up to 20 variables, CDCL above) from
+        an in-memory cache with one worker thread.
     cache:
         An explicit :class:`ShardedResultCache` (tests inject one);
         ``None`` builds it from the config.

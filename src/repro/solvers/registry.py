@@ -4,8 +4,8 @@ Built in are the classical baselines, the two NBL engines
 (``"nbl-symbolic"``, ``"nbl-sampled"``) and the NBL-guided ``"hybrid"``.
 The registry is extensible: downstream code adds solvers with
 :func:`register_solver`, after which they are constructible by name
-everywhere a solver name is accepted — the portfolio racer, the batch
-runtime, the solve service and the session factory.
+everywhere a solver name is accepted — the batch runtime, the solve
+service and the session factory.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""Assumption-carrying jobs through the pool, batch and portfolio layers."""
+"""Assumption-carrying jobs through the pool, batch and default-spec layers."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.cnf.formula import CNFFormula
-from repro.runtime import BatchRunner, PortfolioSolver, SolveJob, execute_job
+from repro.runtime import BatchRunner, SolveJob, execute_job
 from repro.runtime.jobs import SolveOutcome
+from repro.solvers.cdcl import CDCLSolver
 
 
 def simple_formula() -> CNFFormula:
@@ -64,14 +65,29 @@ class TestExecuteJobWithAssumptions:
 
 class TestPortfolioAssumptions:
     def test_solve_accepts_assumptions(self):
-        result = PortfolioSolver().solve(
-            simple_formula(), seed=0, assumptions=(1, 2)
+        outcome = execute_job(
+            SolveJob(formula=simple_formula(), seed=0, assumptions=(1, 2))
         )
-        assert result.status == "UNSAT"
+        assert outcome.status == "UNSAT" and outcome.verified
 
     def test_assumption_free_race_unchanged(self):
-        result = PortfolioSolver().solve(simple_formula(), seed=0)
-        assert result.status == "SAT"
+        outcome = execute_job(SolveJob(formula=simple_formula(), seed=0))
+        assert outcome.status == "SAT"
+
+    @pytest.mark.parametrize("num_variables", [2, 40])
+    @pytest.mark.parametrize("preprocess", [False, True])
+    def test_default_unsat_reports_a_core(self, num_variables, preprocess):
+        # The formula forces x2, so ~x2 is refuted; x3 is free either way.
+        formula = CNFFormula.from_ints([[1, 2], [-1, 2]], num_variables)
+        assumptions = (-2,) if num_variables < 3 else (-2, 3)
+        outcome = execute_job(
+            SolveJob(formula=formula, assumptions=assumptions, preprocess=preprocess)
+        )
+        assert outcome.status == "UNSAT" and outcome.verified
+        assert outcome.core is not None
+        assert set(outcome.core) <= set(assumptions)
+        refuted = formula.with_assumptions(outcome.core)
+        assert CDCLSolver().solve(refuted).status == "UNSAT"
 
 
 class TestBatchCacheWithAssumptions:

@@ -1,8 +1,9 @@
 """One verdict rule for the NBL engines, wherever the runtime runs them.
 
-The worker pool, the portfolio racer and the session factory all reach the
-NBL engines through the solver registry, so the same NBL query gets the
-same verdict class from each: SAT only with a verified model, UNSAT only
+The worker pool (for a job naming an engine, or a default job small enough
+to select the exact engine) and the session factory both reach the NBL
+engines through the solver registry, so the same NBL query gets the same
+verdict class from each: SAT only with a verified model, UNSAT only
 from the exact (symbolic) engine, UNKNOWN otherwise.
 """
 
@@ -12,7 +13,7 @@ from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.core.result import AssignmentResult
 from repro.incremental import make_session
-from repro.runtime import PortfolioSolver, ResultCache, SolveJob, execute_job
+from repro.runtime import ResultCache, SolveJob, execute_job
 
 #: Satisfiable only with x2 true.
 SAT_CLAUSES = [[1, 2], [-1, 2]]
@@ -37,9 +38,10 @@ def test_unverified_sat_claim_is_unknown_everywhere(monkeypatch):
     assert outcome.status == "UNKNOWN"
     assert outcome.assignment is None
 
-    race = PortfolioSolver(contenders=("nbl-sampled",)).solve(formula, seed=1)
-    assert race.status == "UNKNOWN"
-    assert race.assignment is None
+    default = execute_job(SolveJob(formula=formula, seed=1))
+    assert default.winner == "nbl-symbolic"
+    assert default.status == "UNKNOWN"
+    assert default.assignment is None
 
     session = make_session("nbl-sampled", base_formula=formula, seed=1)
     result = session.solve()
@@ -63,11 +65,6 @@ def test_sampled_engine_unsat_is_unknown_everywhere():
         "nbl-sampled", base_formula=formula, seed=1, samples=20_000
     )
     assert session.solve().status == "UNKNOWN"
-
-    race = PortfolioSolver(contenders=("nbl-sampled",), samples=20_000).solve(
-        formula, seed=1
-    )
-    assert race.contender_status == {"nbl-sampled": "UNKNOWN"}
 
 
 def test_symbolic_unsat_under_assumptions_reports_the_assumptions_as_core():

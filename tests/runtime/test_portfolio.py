@@ -1,4 +1,9 @@
-"""Tests for repro.runtime.portfolio: correctness against ground truth."""
+"""Tests for the default ``"portfolio"`` spec: one solver per instance.
+
+A default job runs the exact NBL engine on a formula of at most 20
+variables and CDCL on anything larger, exactly as the job naming that
+solver would.
+"""
 
 from __future__ import annotations
 
@@ -6,16 +11,14 @@ import pytest
 
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import phase_transition_family, random_ksat
-from repro.exceptions import RuntimeSubsystemError
-from repro.runtime.portfolio import DEFAULT_CONTENDERS, PortfolioSolver
+from repro.runtime import SolveJob, execute_job
 from repro.solvers.brute_force import BruteForceSolver
 
 
 class TestAgreementWithBruteForce:
-    """Portfolio answers must match exhaustive enumeration (≤ 12 variables)."""
+    """Default-spec answers must match exhaustive enumeration (≤ 12 variables)."""
 
     def test_mixed_random_instances(self):
-        portfolio = PortfolioSolver(samples=20_000)
         brute = BruteForceSolver()
         checked = 0
         for num_variables in (6, 10, 12):
@@ -23,14 +26,14 @@ class TestAgreementWithBruteForce:
                 num_variables, ratios=(3.0, 4.26, 5.5), seed=num_variables
             ):
                 truth = brute.solve(formula).status
-                result = portfolio.solve(formula, seed=0)
-                assert result.status == truth, (
-                    f"portfolio={result.status} truth={truth} "
+                outcome = execute_job(SolveJob(formula=formula, seed=0))
+                assert outcome.status == truth, (
+                    f"portfolio={outcome.status} truth={truth} "
                     f"(n={num_variables}, ratio={ratio})"
                 )
-                if result.status == "SAT":
-                    assert result.verified
-                    assert formula.evaluate(result.assignment.as_dict())
+                assert outcome.verified
+                if outcome.status == "SAT":
+                    assert formula.evaluate(outcome.assignment_dict())
                 checked += 1
         assert checked == 9
 
@@ -38,60 +41,57 @@ class TestAgreementWithBruteForce:
         formula = CNFFormula.from_ints(
             [[1, 2], [1, -2], [-1, 2], [-1, -2]]
         )
-        result = PortfolioSolver().solve(formula, seed=0)
-        assert result.status == "UNSAT" and result.verified
-        assert result.winner in DEFAULT_CONTENDERS
+        outcome = execute_job(SolveJob(formula=formula, seed=0))
+        assert outcome.status == "UNSAT" and outcome.verified
+        assert outcome.winner == "nbl-symbolic"
+
+
+class TestSelection:
+    @pytest.mark.parametrize(
+        "num_variables, selected", [(12, "nbl-symbolic"), (30, "cdcl")]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("preprocess", [False, True])
+    def test_default_job_runs_the_selected_solver(
+        self, num_variables, selected, seed, preprocess
+    ):
+        formula = random_ksat(num_variables, round(4.26 * num_variables), seed=seed)
+        default = execute_job(SolveJob(formula=formula, preprocess=preprocess))
+        named = execute_job(
+            SolveJob(formula=formula, solver=selected, preprocess=preprocess)
+        )
+        cdcl = execute_job(SolveJob(formula=formula, solver="cdcl"))
+        assert default.solver == "portfolio"
+        assert default.status == cdcl.status
+        if not preprocess:
+            assert default.winner == selected
+        comparable = dict(solver="", elapsed_seconds=0.0)
+        assert default.copy(**comparable) == named.copy(**comparable)
 
 
 class TestRaceMechanics:
-    def test_reports_cover_run_contenders(self):
-        formula = random_ksat(8, 20, seed=1)
-        result = PortfolioSolver().solve(formula, seed=0)
-        assert result.reports
-        assert result.winner == result.reports[-1].name  # race stops at winner
-        assert set(result.contender_seconds) == {r.name for r in result.reports}
-
-    def test_first_settler_wins(self):
-        formula = CNFFormula.from_ints([[1, 2], [-1, -2]])
-        result = PortfolioSolver(contenders=("dpll", "cdcl")).solve(formula)
-        assert result.winner == "dpll"
-        assert [r.name for r in result.reports] == ["dpll"]
+    """Sound verdicts, bounded cost and determinism of the dispatch."""
 
     def test_incomplete_solver_cannot_settle_unsat(self):
         formula = CNFFormula.from_ints([[1], [-1]])
-        result = PortfolioSolver(contenders=("walksat",)).solve(formula, seed=0)
-        assert result.status == "UNKNOWN"
-        assert result.contender_status["walksat"] == "UNKNOWN"
+        outcome = execute_job(SolveJob(formula=formula, solver="walksat", seed=0))
+        assert outcome.status == "UNKNOWN"
+        assert not outcome.verified
 
     def test_exponential_contender_is_skipped_on_large_instances(self):
         formula = random_ksat(30, 60, seed=0)
-        result = PortfolioSolver(
-            contenders=("nbl-symbolic", "cdcl"), samples=10_000
-        ).solve(formula, seed=0)
-        assert result.contender_status["nbl-symbolic"] == "SKIPPED"
-        assert result.winner == "cdcl"
+        outcome = execute_job(SolveJob(formula=formula, samples=10_000, seed=0))
+        assert outcome.status == "SAT" and outcome.verified
+        assert outcome.winner == "cdcl"
+        assert outcome.samples_used == 0
 
     def test_hybrid_is_a_valid_contender(self):
         formula = CNFFormula.from_ints([[1, 2], [-1, -2]])
-        result = PortfolioSolver(contenders=("hybrid",)).solve(formula, seed=0)
-        assert result.status == "SAT" and result.winner == "hybrid"
+        outcome = execute_job(SolveJob(formula=formula, solver="hybrid", seed=0))
+        assert outcome.status == "SAT" and outcome.winner == "hybrid"
 
     def test_determinism_for_fixed_seed(self):
         formula = random_ksat(10, 42, seed=4)
-        portfolio = PortfolioSolver(samples=20_000)
-        first = portfolio.solve(formula, seed=9)
-        second = portfolio.solve(formula, seed=9)
-        assert first.status == second.status
-        assert first.winner == second.winner
-        statuses = lambda r: {c.name: c.status for c in r.reports}  # noqa: E731
-        assert statuses(first) == statuses(second)
-
-
-class TestValidation:
-    def test_unknown_contender_rejected(self):
-        with pytest.raises(RuntimeSubsystemError):
-            PortfolioSolver(contenders=("quantum",))
-
-    def test_empty_roster_rejected(self):
-        with pytest.raises(RuntimeSubsystemError):
-            PortfolioSolver(contenders=())
+        first = execute_job(SolveJob(formula=formula, samples=20_000, seed=9))
+        second = execute_job(SolveJob(formula=formula, samples=20_000, seed=9))
+        assert first.copy(elapsed_seconds=0.0) == second.copy(elapsed_seconds=0.0)

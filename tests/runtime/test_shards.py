@@ -187,6 +187,24 @@ class TestPersistence:
             "fp-snap",
         ]
 
+    def test_records_with_racer_timings_still_load(self, tmp_path):
+        # Earlier releases raced several solvers for a default job and
+        # stored per-racer timings and verdicts with every outcome.
+        directory = str(tmp_path / "cache")
+        os.makedirs(directory)
+        raced = _outcome("fp-raced", solver="portfolio", winner="dpll").to_dict()
+        raced["contender_seconds"] = {"nbl-symbolic": 0.0, "dpll": 0.01}
+        raced["contender_status"] = {"dpll": "SAT"}
+        with open(
+            os.path.join(directory, "shard-000.wal"), "w", encoding="utf-8"
+        ) as handle:
+            handle.write(json.dumps({"key": "fp-raced", "outcome": raced}) + "\n")
+        reopened = ShardedResultCache(directory=directory, shards=1)
+        assert reopened.torn_records == 0
+        hit = reopened.get("fp-raced")
+        assert hit is not None and hit.status == "SAT" and hit.winner == "dpll"
+        assert "contender_seconds" not in hit.to_dict()
+
     def test_auto_compaction_at_threshold(self, tmp_path):
         directory = str(tmp_path / "cache")
         cache = ShardedResultCache(
@@ -212,6 +230,17 @@ class TestPersistence:
         ShardedResultCache(directory=directory, shards=4).close()
         with pytest.raises(RuntimeSubsystemError, match="misplace"):
             ShardedResultCache(directory=directory, shards=8)
+
+    def test_unnamed_shard_count_adopts_the_directory(self, tmp_path):
+        directory = str(tmp_path / "cache")
+        with ShardedResultCache(directory=directory, shards=16) as cache:
+            cache.put(_outcome("fp-16"))
+        reopened = ShardedResultCache(directory=directory)
+        assert reopened.num_shards == 16
+        assert reopened.get("fp-16") is not None
+        fresh = ShardedResultCache(directory=str(tmp_path / "fresh"))
+        assert fresh.num_shards == 8
+        assert ShardedResultCache().num_shards == 8
 
     def test_replay_idempotent_over_snapshot(self, tmp_path):
         # A crash between snapshot and WAL truncation leaves records that

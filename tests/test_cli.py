@@ -205,7 +205,7 @@ def batch_dir(tmp_path):
 class TestBatchCommand:
     def test_batch_directory_smoke(self, batch_dir, capsys):
         code = main(
-            ["batch", str(batch_dir), "--workers", "1", "--portfolio",
+            ["batch", str(batch_dir), "--workers", "1",
              "--samples", "20000", "--seed", "0"]
         )
         out = capsys.readouterr().out
@@ -238,6 +238,24 @@ class TestBatchCommand:
         ) == 0
         warm = capsys.readouterr().out
         assert "4 hits" in warm and "100% of batch" in warm
+
+    def test_batch_reads_a_cache_dir_with_a_non_default_shard_count(
+        self, batch_dir, tmp_path, capsys
+    ):
+        from repro.runtime import ShardedResultCache
+
+        cache_dir = str(tmp_path / "cache")
+        ShardedResultCache(cache_dir, shards=16).close()
+        argv = ["batch", str(batch_dir), "--cache-dir", cache_dir,
+                "--samples", "20000", "--no-preprocess"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert f"c loaded 4 cached results from {cache_dir}" in captured.out
+        assert "4 hits" in captured.out
+        assert "warning" not in captured.err
+        assert ShardedResultCache(cache_dir).num_shards == 16
 
     def test_batch_corrupt_cache_dir_degrades_gracefully(
         self, batch_dir, tmp_path, capsys
@@ -332,10 +350,12 @@ class TestBatchCommand:
         assert "error" in capsys.readouterr().err
 
     def test_batch_conflicting_solver_flags(self, batch_dir, capsys):
-        code = main(
-            ["batch", str(batch_dir), "--portfolio", "--solver", "dpll"]
-        )
-        assert code == 2
+        # --solver is the one way to name a spec; the old --portfolio
+        # shorthand is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", str(batch_dir), "--portfolio", "--solver", "dpll"])
+        assert exit_info.value.code == 2
+        assert "--portfolio" in capsys.readouterr().err
 
 
 class TestPreprocessCommand:
@@ -655,7 +675,7 @@ class TestBatchProofDir:
 
     def test_portfolio_rejects_proof_dir(self, batch_dir, tmp_path, capsys):
         code = main(
-            ["batch", str(batch_dir), "--portfolio",
+            ["batch", str(batch_dir), "--solver", "portfolio",
              "--proof-dir", str(tmp_path / "proofs")]
         )
         assert code == 1
