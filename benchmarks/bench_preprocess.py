@@ -1,4 +1,4 @@
-"""Benchmark the inprocessing pipeline: reduction ratios and CDCL speedup.
+"""Benchmark the preprocessing pipeline: reduction ratios and CDCL speedup.
 
 Run with::
 

@@ -15,7 +15,7 @@ The package implements the paper's NBL-SAT scheme end-to-end:
 * :mod:`repro.sbl` / :mod:`repro.rtw` — sinusoid- and telegraph-wave-based
   realizations;
 * :mod:`repro.hybrid` — the CPU + NBL-coprocessor hybrid solver;
-* :mod:`repro.preprocess` — SatELite-style inprocessing (units, pure
+* :mod:`repro.preprocess` — SatELite-style preprocessing (units, pure
   literals, subsumption/strengthening, blocked clauses, bounded variable
   elimination) with model reconstruction, run in front of any solver by
   ``SolveJob(preprocess=True)`` and by sessions built with

@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--no-preprocess",
             action="store_true",
-            help="skip the inprocessing pipeline (unit propagation, pure "
+            help="skip the preprocessing pipeline (unit propagation, pure "
             "literals, subsumption, blocked clauses, variable elimination) "
             "that otherwise shrinks the instance before solving (a cdcl "
             "job searches the formula as given either way)",
@@ -139,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     preprocess = subparsers.add_parser(
         "preprocess",
-        help="simplify a DIMACS file with the inprocessing pipeline "
+        help="simplify a DIMACS file with the preprocessing pipeline "
         "(exit 0 reduced, 10/20 when decided)",
         description=(
             "Run unit propagation, pure-literal elimination, subsumption + "
@@ -304,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     incremental.add_argument(
         "--preprocess",
         action="store_true",
-        help="run each query as a preprocessing job: the inprocessing "
+        help="run each query as a preprocessing job: the preprocessing "
         "pipeline runs with the query's assumption variables frozen (any "
         "solver spec; no --proof)",
     )
@@ -486,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--preprocess",
         action="store_true",
-        help="run the inprocessing pipeline by default for jobs that do "
+        help="run the preprocessing pipeline by default for jobs that do "
         "not set 'preprocess' themselves (off by default: a server solves "
         "exactly what it is sent)",
     )
@@ -535,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     client.add_argument(
         "--preprocess",
         action="store_true",
-        help="ask the server to run the inprocessing pipeline on each job",
+        help="ask the server to run the preprocessing pipeline on each job",
     )
     client.add_argument(
         "--retries",
@@ -855,10 +855,13 @@ def _run_solve(args: argparse.Namespace) -> int:
     from repro.runtime import SolveJob, execute_job
 
     try:
+        formula = parse_dimacs_file(args.cnf)
+        # The NBL engines refuse a formula without variables; CDCL decides it.
+        use_cdcl = args.proof is not None or formula.num_variables == 0
         job = SolveJob(
-            parse_dimacs_file(args.cnf),
+            formula,
             label=args.cnf,
-            solver="cdcl" if args.proof is not None else f"nbl-{args.engine}",
+            solver="cdcl" if use_cdcl else f"nbl-{args.engine}",
             samples=args.samples,
             carrier=args.carrier,
             seed=args.seed,

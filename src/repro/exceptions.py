@@ -50,7 +50,7 @@ class SolverTimeoutError(SolverError):
 
 
 class PreprocessError(ReproError):
-    """Raised by the inprocessing pipeline for invalid configurations or maps."""
+    """Raised by the preprocessing pipeline for invalid configurations or maps."""
 
 
 class ProofError(ReproError):

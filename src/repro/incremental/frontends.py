@@ -133,7 +133,7 @@ def make_session(
     samples / carrier:
         Sampled-NBL engine budget and carrier family.
     preprocess:
-        Run every query as ``SolveJob(preprocess=True)``: the inprocessing
+        Run every query as ``SolveJob(preprocess=True)``: the preprocessing
         pipeline runs on the accumulated formula with the query's
         assumption variables frozen, for any spec. Portfolio sessions
         (which select the solver on each query's accumulated formula) and

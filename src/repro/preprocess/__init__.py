@@ -1,4 +1,4 @@
-"""repro.preprocess — SatELite-style inprocessing with model reconstruction.
+"""repro.preprocess — SatELite-style preprocessing with model reconstruction.
 
 Every clause and variable removed before a formula reaches the NBL engines
 or the CPU baselines shrinks the hyperspace product and the search alike,
@@ -14,11 +14,10 @@ so this package sits in front of the whole solver stack:
 * :func:`preprocess_formula` — the one-shot helper. Preprocess-then-solve
   has one entry point, ``SolveJob(preprocess=True)`` in
   :mod:`repro.runtime`, which sessions built with
-  ``make_session(spec, preprocess=True)`` run once per query;
-* :func:`inprocess_learned` / :class:`InprocessResult` — the cheap
-  restart-boundary variant the CDCL arena kernel runs *during* search:
-  learned-clause subsumption and vivification-lite against the root
-  assignment, budget-bounded, never touching problem clauses.
+  ``make_session(spec, preprocess=True)`` run once per query.
+
+This is the library's one clause simplifier: the CDCL kernel only reduces
+its learned-clause database.
 
 Quickstart::
 
@@ -31,7 +30,6 @@ Quickstart::
         original_model = result.reconstruct(model) # back to the input
 """
 
-from repro.preprocess.inprocess import InprocessResult, inprocess_learned
 from repro.preprocess.occurrence import ClauseDatabase
 from repro.preprocess.pipeline import (
     REDUCED,
@@ -59,11 +57,9 @@ __all__ = [
     "ClauseDatabase",
     "EliminatedVariable",
     "ForcedLiteral",
-    "InprocessResult",
     "Preprocessor",
     "PreprocessResult",
     "PreprocessStats",
     "ReconstructionStack",
-    "inprocess_learned",
     "preprocess_formula",
 ]

@@ -1,4 +1,4 @@
-"""Occurrence-indexed mutable clause database for the inprocessing pipeline.
+"""Occurrence-indexed mutable clause database for the preprocessing pipeline.
 
 The rest of the library works on the immutable
 :class:`~repro.cnf.formula.CNFFormula`; preprocessing techniques instead

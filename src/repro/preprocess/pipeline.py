@@ -1,4 +1,4 @@
-"""The inprocessing pipeline: SatELite-style simplification to a fixpoint.
+"""The preprocessing pipeline: SatELite-style simplification to a fixpoint.
 
 :class:`Preprocessor` runs unit propagation, pure-literal elimination,
 subsumption + self-subsuming resolution, blocked clause elimination (BCE)

@@ -5,7 +5,7 @@ A DRAT proof is a line-oriented text trace of clause *additions* and
 single sink the whole stack shares: :class:`~repro.solvers.cdcl.CDCLSolver`
 writes learned clauses and the final empty clause, and
 :class:`~repro.preprocess.Preprocessor` writes the strengthenings,
-eliminations and resolvents of its inprocessing passes.  Each emitted line
+eliminations and resolvents of its preprocessing passes.  Each emitted line
 is built in memory and written with one ``write()`` call, so an
 interrupted run (timeout, crash) can truncate the proof only at a line
 boundary — never mid-line.

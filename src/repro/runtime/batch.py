@@ -184,7 +184,7 @@ class BatchRunner:
     samples / carrier / timeout:
         Forwarded to every job.
     preprocess:
-        Run the inprocessing pipeline on every cache miss before solving
+        Run the preprocessing pipeline on every cache miss before solving
         (see :class:`~repro.runtime.jobs.SolveJob`). The cache key is the
         instance's own, so warm re-runs skip the pipeline entirely.
     proof_dir:

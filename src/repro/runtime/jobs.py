@@ -51,8 +51,11 @@ def refusal_reason(solver: str, formula: CNFFormula) -> Optional[str]:
 
     Single source of the exponential-cost refusal policy, shared by the
     worker pool (which fails the job fast, and selects the default spec's
-    solver by it) and ``repro check``.
+    solver by it) and ``repro check``. The NBL engines also refuse a
+    formula without variables, which has no hyperspace to check.
     """
+    if solver in NBL_SPECS and formula.num_variables == 0:
+        return f"{solver} requires at least one variable"
     limit = EXPONENTIAL_LIMITS.get(solver)
     if limit is not None and formula.num_variables > limit:
         return (
@@ -157,7 +160,7 @@ class SolveJob:
         deterministic seed from the pool's master seed, the job id and the
         formula fingerprint — see :func:`repro.runtime.pool.derive_job_seed`.
     preprocess:
-        Run the :mod:`repro.preprocess` inprocessing pipeline (with the
+        Run the :mod:`repro.preprocess` preprocessing pipeline (with the
         assumption variables frozen) before dispatching to the solver; the
         solver then sees the reduced formula and SAT models are
         reconstructed over the original variables. A ``cdcl`` job without

@@ -10,8 +10,8 @@ ground truth and classical reference points:
 * :class:`DPLLSolver` — unit propagation + pure literals + branching;
 * :class:`CDCLSolver` — two-watched-literal propagation over a flat
   int-array clause arena, 1-UIP clause learning, VSIDS branching, LBD
-  clause-database reduction, Luby restarts and inprocessing at restart
-  boundaries (see :mod:`repro.solvers.cdcl`);
+  clause-database reduction and Luby restarts (see
+  :mod:`repro.solvers.cdcl`);
 * :class:`WalkSATSolver` / :class:`GSATSolver` — stochastic local search
   (incomplete: they can only answer "SAT" or "unknown").
 """

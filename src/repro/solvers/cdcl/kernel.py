@@ -28,13 +28,13 @@ variables.  The kernel implements:
   arena, with VSIDS variable bumping and LBD stamping,
 * clause-activity + LBD learned-clause database reduction with garbage
   compaction that rebuilds the watch lists,
-* Luby-sequence restarts,
-* cheap inprocessing at restart boundaries via
-  :func:`repro.preprocess.inprocess_learned` (root-satisfied learned
-  clauses dropped, root-falsified literals stripped, subsumed learned
-  clauses deleted) under a clause budget,
-* DRAT emission for every learned, strengthened and deleted clause, and
-  final-conflict analysis for minimized assumption cores.
+* Luby-sequence restarts that keep the assumption levels,
+* DRAT emission for every learned and deleted clause, and final-conflict
+  analysis for minimized assumption cores.
+
+Clause simplification beyond learned-clause reduction is not the
+kernel's job: it lives in the preprocessing pipeline,
+:class:`repro.preprocess.Preprocessor`.
 
 The class is engine-only: result objects, telemetry spans around whole
 solves, proof-log ownership and the public solver API live in
@@ -56,6 +56,8 @@ __all__ = ["ArenaKernel", "luby"]
 _HEADER = 3
 _FLAG_LEARNED = 1
 _FLAG_DELETED = 2
+#: Clause-activity decay per conflict (MiniSat's default).
+_CLAUSE_DECAY = 0.999
 
 
 def luby(i: int) -> int:
@@ -103,10 +105,8 @@ class ArenaKernel:
     this class are DIMACS-signed ints; internally everything is encoded.
 
     Parameters mirror the solver-level knobs: ``decay`` (VSIDS), Luby
-    ``restart_base``, ``max_conflicts``, ``reduce_interval`` /
-    ``keep_lbd`` (learned-DB reduction), ``inprocess_interval`` (restarts
-    between inprocessing passes, 0 disables) and ``inprocess_budget``
-    (learned clauses examined per pass).
+    ``restart_base``, ``max_conflicts``, and ``reduce_interval`` /
+    ``keep_lbd`` (learned-DB reduction).
     """
 
     def __init__(
@@ -117,25 +117,16 @@ class ArenaKernel:
         max_conflicts: int = 5_000_000,
         reduce_interval: int = 2000,
         keep_lbd: int = 2,
-        inprocess_interval: int = 4,
-        inprocess_budget: int = 2000,
-        clause_decay: float = 0.999,
     ) -> None:
         self.decay = decay
         self.restart_base = restart_base
         self.max_conflicts = max_conflicts
         self.reduce_interval = reduce_interval
         self.keep_lbd = keep_lbd
-        self.inprocess_interval = inprocess_interval
-        self.inprocess_budget = inprocess_budget
-        self.clause_decay = clause_decay
         #: DRAT sink (duck-typed ProofLog) of the current run; None = off.
         self.proof = None
-        #: Lifetime counters surfaced to telemetry by the solver layer.
+        #: Lifetime count of learned-DB reductions (read by tests).
         self.reductions = 0
-        self.inprocessings = 0
-        self.clauses_deleted = 0
-        self._restarts_total = 0
         self._conflicts_since_reduce = 0
         self.reset(num_vars)
 
@@ -684,7 +675,7 @@ class ArenaKernel:
     def decay_activities(self) -> None:
         """Per-conflict decay: future bumps weigh more (MiniSat scaling)."""
         self.var_inc /= self.decay
-        self.cla_inc /= self.clause_decay
+        self.cla_inc /= _CLAUSE_DECAY
 
     def pick_branch_variable(self) -> int:
         """Highest-activity unassigned variable (lazy heap with stale skips)."""
@@ -744,12 +735,9 @@ class ArenaKernel:
             self.live_clauses -= 1
         self.compact()
         self.reductions += 1
-        self.clauses_deleted += len(doomed)
         if _telemetry.active():
             _telemetry.emit("repro_cdcl_reductions_total")
-            _telemetry.emit(
-                "repro_cdcl_clauses_deleted_total", len(doomed), source="reduction"
-            )
+            _telemetry.emit("repro_cdcl_clauses_deleted_total", len(doomed))
         return len(doomed)
 
     def compact(self) -> None:
@@ -794,92 +782,6 @@ class ArenaKernel:
         }
         self.learned_refs = learned_refs
         self.arena = new
-
-    # -- inprocessing at restart boundaries ---------------------------------
-    def inprocess(self, stats) -> None:
-        """Run the cheap :mod:`repro.preprocess` pass on the learned DB.
-
-        Must be called at decision level 0 (a restart boundary).  Learned
-        clauses satisfied at the root are deleted, root-falsified literals
-        are stripped (vivification-lite: the shortened clause is emitted
-        to the proof before the original is deleted), and learned clauses
-        subsumed by any other live clause are dropped — all under the
-        kernel's ``inprocess_budget``.  Problem clauses are never touched,
-        and reason clauses of root assignments are excluded, so cores and
-        model reconstruction stay sound.
-        """
-        if self.trail_lim:
-            raise SolverError("inprocess() requires decision level 0")
-        from repro.preprocess.inprocess import inprocess_learned
-
-        arena = self.arena
-        locked = self.locked_refs()
-        problem: List[Tuple[int, ...]] = []
-        learned: List[Tuple[int, Tuple[int, ...]]] = []
-        i = 0
-        n = len(arena)
-        while i < n:
-            flags = arena[i + 1]
-            if not (flags & _FLAG_DELETED):
-                lits = self.clause_literals(i)
-                if flags & _FLAG_LEARNED and i not in locked:
-                    learned.append((i, lits))
-                else:
-                    problem.append(lits)
-            i += _HEADER + arena[i]
-        if not learned:
-            return
-        root = tuple(decode(enc) for enc in self.trail)
-        outcome = inprocess_learned(
-            problem, learned, root_literals=root, budget=self.inprocess_budget
-        )
-        proof = self.proof
-        changed = False
-        for cref, old_lits, new_lits in outcome.strengthened:
-            if proof is not None:
-                proof.add(new_lits)
-            if not new_lits:
-                self.root_conflict = True
-                self.emit_empty()
-            elif len(new_lits) == 1:
-                enc = encode(new_lits[0])
-                value = self.values[enc]
-                if value < 0:
-                    self.root_conflict = True
-                    self.emit_empty()
-                elif value == 0:
-                    self._enqueue(enc, -1)
-            else:
-                lbd = min(arena[cref + 2], len(new_lits))
-                self._alloc([encode(lit) for lit in new_lits], True, lbd)
-                # _alloc may reallocate nothing but appends to the same
-                # arena object; refresh the local alias defensively.
-                arena = self.arena
-            if proof is not None:
-                proof.delete(old_lits)
-            arena[cref + 1] |= _FLAG_DELETED
-            self.live_clauses -= 1
-            changed = True
-        for cref, lits in outcome.dropped:
-            if proof is not None:
-                proof.delete(lits)
-            arena[cref + 1] |= _FLAG_DELETED
-            self.live_clauses -= 1
-            changed = True
-        if changed:
-            self.compact()
-        self.inprocessings += 1
-        self.clauses_deleted += len(outcome.dropped)
-        if _telemetry.active():
-            _telemetry.emit("repro_cdcl_inprocessings_total")
-            _telemetry.emit(
-                "repro_cdcl_clauses_deleted_total",
-                len(outcome.dropped),
-                source="inprocess",
-            )
-            _telemetry.emit(
-                "repro_cdcl_clauses_strengthened_total", len(outcome.strengthened)
-            )
 
     # -- the search loop -----------------------------------------------------
     def search(
@@ -939,7 +841,6 @@ class ArenaKernel:
                 if conflicts_since_restart >= conflicts_until_restart:
                     stats.restarts += 1
                     restart_count += 1
-                    self._restarts_total += 1
                     if _telemetry.tracing_active():
                         _telemetry.event(
                             "restart",
@@ -958,21 +859,9 @@ class ArenaKernel:
                             "repro_cdcl_watch_list_length_avg", round(average, 3)
                         )
                         _telemetry.emit("repro_cdcl_watch_list_length_max", longest)
-                    inprocess_due = (
-                        self.inprocess_interval
-                        and self._restarts_total % self.inprocess_interval == 0
-                    )
                     # Keep the already-established assumption levels across
-                    # the restart — they must be re-taken verbatim anyway —
-                    # unless inprocessing (which needs level 0) is due.
-                    self.backjump(
-                        0 if inprocess_due else self._assumption_prefix(assumed)
-                    )
-                    if inprocess_due:
-                        self.inprocess(stats)
-                        if self.root_conflict:
-                            self.emit_empty()
-                            return "UNSAT", None, () if assumed else None
+                    # the restart — they must be re-taken verbatim anyway.
+                    self.backjump(self._assumption_prefix(assumed))
                     conflicts_since_restart = 0
                     conflicts_until_restart = self.restart_base * luby(
                         restart_count + 1

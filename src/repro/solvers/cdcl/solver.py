@@ -12,9 +12,9 @@ Soundness of state retention across incremental calls: a learned clause
 is derived by resolution from clauses already in the database, so it is
 a logical consequence of the problem clauses alone — never of the
 assumptions in force when it was learned. Clause addition is monotone
-(inprocessing only ever deletes/strengthens *learned* clauses, which are
-consequences), so every learned clause stays valid across
-:meth:`attach_clause` and any later assumption set.
+(reduction only ever deletes *learned* clauses, which are consequences),
+so every learned clause stays valid across :meth:`attach_clause` and any
+later assumption set.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ class CDCLSolver(SATSolver):
     The hot path lives in :class:`~repro.solvers.cdcl.kernel.ArenaKernel`:
     two-watched-literal propagation over a single ``array('i')`` clause
     arena, first-UIP learning with LBD stamping, VSIDS branching through a
-    lazy heap, phase saving, Luby restarts, periodic learned-clause DB
-    reduction with garbage compaction, and cheap inprocessing (learned
-    clause subsumption + vivification-lite via :mod:`repro.preprocess`)
-    at restart boundaries.
+    lazy heap, phase saving, Luby restarts, and periodic learned-clause
+    DB reduction with garbage compaction.
 
     Parameters
     ----------
@@ -67,10 +65,6 @@ class CDCLSolver(SATSolver):
     keep_lbd:
         Learned clauses with LBD at or below this are never deleted
         ("glue" clauses).
-    inprocess_interval:
-        Restarts between inprocessing passes (0 disables inprocessing).
-    inprocess_budget:
-        Maximum learned clauses examined per inprocessing pass.
     """
 
     name = "cdcl"
@@ -84,8 +78,6 @@ class CDCLSolver(SATSolver):
         max_conflicts: int = 5_000_000,
         reduce_interval: int = 2000,
         keep_lbd: int = 2,
-        inprocess_interval: int = 4,
-        inprocess_budget: int = 2000,
     ) -> None:
         if not 0.0 < vsids_decay < 1.0:
             raise SolverError("vsids_decay must lie in (0, 1)")
@@ -93,8 +85,8 @@ class CDCLSolver(SATSolver):
             raise SolverError("restart_base must be positive")
         if max_conflicts <= 0:
             raise SolverError("max_conflicts must be positive")
-        if reduce_interval < 0 or inprocess_interval < 0 or inprocess_budget < 0:
-            raise SolverError("reduction/inprocessing knobs must be non-negative")
+        if reduce_interval < 0:
+            raise SolverError("reduce_interval must be non-negative")
         if keep_lbd < 0:
             raise SolverError("keep_lbd must be non-negative")
         self._decay = vsids_decay
@@ -102,8 +94,6 @@ class CDCLSolver(SATSolver):
         self._max_conflicts = max_conflicts
         self._reduce_interval = reduce_interval
         self._keep_lbd = keep_lbd
-        self._inprocess_interval = inprocess_interval
-        self._inprocess_budget = inprocess_budget
         self._incremental = False
         self._num_vars = 0
         self._kernel: Optional[ArenaKernel] = None
@@ -116,8 +106,6 @@ class CDCLSolver(SATSolver):
             max_conflicts=self._max_conflicts,
             reduce_interval=self._reduce_interval,
             keep_lbd=self._keep_lbd,
-            inprocess_interval=self._inprocess_interval,
-            inprocess_budget=self._inprocess_budget,
         )
 
     # -- public entry ------------------------------------------------------------
@@ -307,8 +295,6 @@ class CDCLSolver(SATSolver):
             max_conflicts=self._max_conflicts,
             reduce_interval=self._reduce_interval,
             keep_lbd=self._keep_lbd,
-            inprocess_interval=self._inprocess_interval,
-            inprocess_budget=self._inprocess_budget,
         )
         return CDCLSession(
             clone, base_formula=base_formula, num_variables=num_variables

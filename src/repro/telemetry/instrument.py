@@ -67,29 +67,21 @@ METRICS: Dict[str, Tuple[str, Tuple[str, ...], str]] = {
     "repro_cdcl_reductions_total": (
         "counter", (), "Learned-clause database reductions run by the CDCL kernel."
     ),
-    "repro_cdcl_inprocessings_total": (
-        "counter", (), "Restart-boundary inprocessing passes run by the CDCL kernel."
-    ),
     "repro_cdcl_clauses_deleted_total": (
-        "counter",
-        ("source",),
-        "Learned clauses deleted by DB reduction and inprocessing.",
-    ),
-    "repro_cdcl_clauses_strengthened_total": (
-        "counter", (), "Learned clauses shortened by inprocessing vivification."
+        "counter", (), "Learned clauses deleted by DB reduction in the CDCL kernel."
     ),
     # -- preprocessing
     "repro_preprocess_runs_total": (
         "counter", ("status",), "Completed preprocessing runs by final status."
     ),
     "repro_preprocess_clauses_removed_total": (
-        "counter", (), "Clauses removed by the inprocessing pipeline."
+        "counter", (), "Clauses removed by the preprocessing pipeline."
     ),
     "repro_preprocess_clause_reduction_ratio": (
         "gauge", (), "Clause-reduction fraction of the most recent preprocessing run."
     ),
     "repro_preprocess_wall_seconds": (
-        "histogram", (), "Per-run wall-clock time of the inprocessing pipeline."
+        "histogram", (), "Per-run wall-clock time of the preprocessing pipeline."
     ),
     # -- result cache
     "repro_cache_hits_total": (

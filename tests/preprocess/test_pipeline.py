@@ -1,4 +1,4 @@
-"""Unit tests for the inprocessing pipeline (repro.preprocess)."""
+"""Unit tests for the preprocessing pipeline (repro.preprocess)."""
 
 from __future__ import annotations
 

@@ -12,8 +12,8 @@ and checked:
 * every UNSAT verdict ships a DRAT proof the in-repo RUP/RAT checker
   accepts (zero rejected proofs),
 * half the corpus runs the arena kernel with aggressive restart /
-  DB-reduction / inprocessing knobs, so the proofs cover clause deletion,
-  strengthening and compaction — not just the happy path.
+  DB-reduction knobs, so the proofs cover clause deletion and
+  compaction — not just the happy path.
 
 ``test_kernel_differential`` (200+ formulas) is the tier-1 acceptance
 run; ``test_kernel_differential_smoke`` (50 formulas) is the fast-lane
@@ -72,15 +72,9 @@ def _corpus(seed: int, count: int, max_vars: int = 9):
 
 
 def _aggressive_solver() -> CDCLSolver:
-    """Arena solver tuned so tiny instances still restart, reduce and
-    inprocess — the paths a default-knob run never reaches."""
-    return CDCLSolver(
-        restart_base=3,
-        reduce_interval=8,
-        keep_lbd=1,
-        inprocess_interval=1,
-        inprocess_budget=64,
-    )
+    """Arena solver tuned so tiny instances still restart and reduce —
+    the paths a default-knob run never reaches."""
+    return CDCLSolver(restart_base=3, reduce_interval=8, keep_lbd=1)
 
 
 def _run_kernel_differential(corpus) -> tuple[int, int]:

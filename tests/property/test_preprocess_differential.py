@@ -1,6 +1,6 @@
 """Differential testing of preprocess → solve → reconstruct.
 
-Plugs the inprocessing pipeline into the existing differential fuzz
+Plugs the preprocessing pipeline into the existing differential fuzz
 harness: on the same ≥200-formula seeded corpus, the
 ``preprocess → solve reduced → reconstruct model`` route must agree with
 brute-force ground truth for every registered complete solver, including

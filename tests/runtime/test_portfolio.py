@@ -68,6 +68,15 @@ class TestSelection:
         comparable = dict(solver="", elapsed_seconds=0.0)
         assert default.copy(**comparable) == named.copy(**comparable)
 
+    @pytest.mark.parametrize("clauses, status", [([], "SAT"), ([[]], "UNSAT")])
+    @pytest.mark.parametrize("preprocess", [False, True])
+    def test_zero_variable_formula_is_answered(self, clauses, status, preprocess):
+        formula = CNFFormula.from_ints(clauses)
+        outcome = execute_job(SolveJob(formula=formula, preprocess=preprocess))
+        assert outcome.status == status, outcome.error
+        if not preprocess:
+            assert outcome.winner == "cdcl"
+
 
 class TestRaceMechanics:
     """Sound verdicts, bounded cost and determinism of the dispatch."""

@@ -149,7 +149,8 @@ class TestVerdictIntegrity:
 
 
 class TestEngineLimit:
-    """A formula over the symbolic engine's limit is refused, not a traceback."""
+    """A formula over the symbolic engine's limit is refused, not a traceback;
+    one without variables, which the engines refuse, is decided by CDCL."""
 
     @pytest.fixture
     def wide_file(self, tmp_path):
@@ -163,6 +164,20 @@ class TestEngineLimit:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1, err
         assert err[0].startswith("error: ") and "refused: " in err[0]
+
+    @pytest.mark.parametrize("flags", [[], ["--no-preprocess"]], ids=["pre", "raw"])
+    @pytest.mark.parametrize(
+        "text, code",
+        [("p cnf 0 0\n", 10), ("p cnf 0 1\n0\n", 20)],
+        ids=["sat", "unsat"],
+    )
+    def test_solve_answers_a_formula_without_variables(
+        self, tmp_path, flags, text, code, capsys
+    ):
+        path = tmp_path / "empty.cnf"
+        path.write_text(text)
+        assert main(["solve", str(path), *flags]) == code
+        assert "c winner=" in capsys.readouterr().out
 
 
 class TestFigure1Command:
