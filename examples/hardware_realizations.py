@@ -22,8 +22,7 @@ from repro.analog import AnalogNBLEngine
 from repro.cnf import random_ksat, section4_sat_instance
 from repro.core import NBLConfig, SampledNBLEngine
 from repro.hybrid import HybridNBLSolver
-from repro.noise import BipolarCarrier, UniformCarrier
-from repro.rtw import RTWNBLEngine
+from repro.noise import BipolarCarrier, TelegraphCarrier, UniformCarrier
 from repro.sbl import SBLNBLEngine
 from repro.solvers import DPLLSolver
 
@@ -52,7 +51,9 @@ def carrier_demo() -> None:
         ("bipolar (+-1) noise", SampledNBLEngine(
             formula, NBLConfig(carrier=BipolarCarrier(), max_samples=100_000,
                                convergence="fixed", seed=3))),
-        ("random telegraph wave", RTWNBLEngine(formula, switch_probability=0.2, seed=3)),
+        ("random telegraph wave", SampledNBLEngine(
+            formula, NBLConfig(carrier=TelegraphCarrier(switch_probability=0.2),
+                               max_samples=100_000, block_size=10_000, seed=3))),
         ("sinusoids (dithered plan)", SBLNBLEngine(formula, seed=3, max_samples=150_000)),
     ]
     for name, engine in realizations:

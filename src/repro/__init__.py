@@ -12,8 +12,9 @@ The package implements the paper's NBL-SAT scheme end-to-end:
 * :mod:`repro.solvers` — classical baseline solvers (brute force, DPLL,
   CDCL, WalkSAT, GSAT);
 * :mod:`repro.analog` — the analog block-level hardware realization;
-* :mod:`repro.sbl` / :mod:`repro.rtw` — sinusoid- and telegraph-wave-based
-  realizations;
+* :mod:`repro.sbl` — the sinusoid-based realization; a telegraph-wave
+  realization is ``SampledNBLEngine`` with a telegraph carrier, and
+  :mod:`repro.rtw` keeps its diagnostic;
 * :mod:`repro.hybrid` — the CPU + NBL-coprocessor hybrid solver;
 * :mod:`repro.preprocess` — SatELite-style preprocessing (units, pure
   literals, subsumption/strengthening, blocked clauses, bounded variable
@@ -52,8 +53,6 @@ from repro.core import (
     NBLSATSolver,
     SampledNBLEngine,
     SymbolicNBLEngine,
-    nbl_sat_check,
-    nbl_sat_solve,
 )
 
 __all__ = [
@@ -64,6 +63,4 @@ __all__ = [
     "NBLSATSolver",
     "SampledNBLEngine",
     "SymbolicNBLEngine",
-    "nbl_sat_check",
-    "nbl_sat_solve",
 ]

@@ -16,14 +16,16 @@ The generated netlist follows the paper's Section V sketch literally:
 * a final multiplier for ``S_N = τ_N · Σ_N`` feeding a correlator (and an
   optional low-pass filter probe).
 
-:class:`AnalogNBLEngine` wraps the compiled netlist behind the same
-``check(bindings) -> CheckResult`` interface as the other engines so it can
-drive Algorithm 2 and the cross-validation experiments unchanged.
+:class:`AnalogNBLEngine` streams the compiled netlist through the same
+observe-and-decide loop as the other sampled engines, so it can drive
+Algorithm 2 and the cross-validation experiments unchanged.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
+
+import numpy as np
 
 from repro.analog.blocks import (
     AdderBlock,
@@ -37,7 +39,7 @@ from repro.analog.blocks import (
 from repro.analog.engine import AnalogSimulator
 from repro.analog.netlist import Netlist
 from repro.cnf.formula import CNFFormula
-from repro.core.result import CheckResult
+from repro.core.sampled import SampledRealization
 from repro.core.sigma import falsifying_cube_bindings
 from repro.exceptions import EngineError
 from repro.noise.base import Carrier
@@ -239,14 +241,18 @@ def compile_nbl_sat_netlist(
     return netlist
 
 
-class AnalogNBLEngine:
+class AnalogNBLEngine(SampledRealization):
     """NBL-SAT engine backed by the compiled analog block diagram.
 
-    The engine exposes the same ``check(bindings)`` interface as
-    :class:`repro.core.sampled.SampledNBLEngine`, so Algorithm 2 and every
-    experiment driver can run on top of the hardware model unchanged. Each
-    check compiles a fresh netlist (bindings change the τ_N wiring, exactly
-    as a field-programmable NBL engine would be reconfigured).
+    The engine runs the shared :class:`~repro.core.sampled.SampledRealization`
+    loop, so Algorithm 2 and every experiment driver can run on top of the
+    hardware model unchanged. Each check compiles a fresh netlist (bindings
+    change the τ_N wiring, exactly as a field-programmable NBL engine would
+    be reconfigured) and streams its ``S_N`` wire. The correlator block is
+    the hardware observable: its mean and integrated sample count are what a
+    check reports. The standard error of the ``S_N`` samples lets the
+    observation window stop adaptively, once the mean is 3σ away from the
+    threshold after at least one block.
     """
 
     name = "analog"
@@ -261,29 +267,22 @@ class AnalogNBLEngine:
         decision_fraction: float = 0.5,
         include_lowpass: bool = False,
     ) -> None:
-        if max_samples <= 0 or block_size <= 0:
-            raise EngineError("max_samples and block_size must be positive")
-        if not 0.0 < decision_fraction < 1.0:
-            raise EngineError("decision_fraction must lie in (0, 1)")
-        self.formula = formula
-        self._carrier = carrier if carrier is not None else UniformCarrier()
+        carrier = carrier if carrier is not None else UniformCarrier()
+        super().__init__(
+            formula,
+            carrier.power,
+            carrier.describe(),
+            max_samples=max_samples,
+            block_size=block_size,
+            decision_fraction=decision_fraction,
+            stop_z=3.0,
+            min_samples=min(block_size, max_samples),
+        )
+        self._carrier = carrier
         self._seed = seed
-        self._max_samples = max_samples
-        self._block_size = min(block_size, max_samples)
-        self._decision_fraction = decision_fraction
         self._include_lowpass = include_lowpass
         self._check_counter = 0
-
-    @property
-    def minterm_signal(self) -> float:
-        """Analytic one-satisfying-minterm signal level ``E[x²]^{n·m}``."""
-        exponent = self.formula.num_variables * self.formula.num_clauses
-        return float(self._carrier.power**exponent)
-
-    @property
-    def decision_threshold(self) -> float:
-        """The SAT/UNSAT threshold applied to the correlator output."""
-        return self._decision_fraction * self.minterm_signal
+        self._correlator: Optional[CorrelatorBlock] = None
 
     def component_counts(self) -> dict[str, int]:
         """Bill of materials of the compiled engine (no bindings)."""
@@ -292,14 +291,7 @@ class AnalogNBLEngine:
         )
         return netlist.component_counts()
 
-    def check(self, bindings: Optional[Mapping[int, bool]] = None) -> CheckResult:
-        """Algorithm 1 on the analog model: integrate S_N and threshold the mean.
-
-        The correlator block is the hardware observable; alongside it, the
-        engine accumulates a standard error of the S_N samples so the
-        observation window can stop adaptively (3σ separation from the
-        threshold), mirroring the sampled engine's convergence policy.
-        """
+    def _open(self, bindings: dict[int, bool]) -> Callable[[int], np.ndarray]:
         self._check_counter += 1
         netlist = compile_nbl_sat_netlist(
             self.formula,
@@ -311,31 +303,11 @@ class AnalogNBLEngine:
             include_lowpass=self._include_lowpass,
         )
         simulator = AnalogSimulator(netlist)
-        correlator = netlist.block("correlator")
-        threshold = self.decision_threshold
-        stats = RunningStats()
-        converged = False
-        while stats.count < self._max_samples:
-            size = min(self._block_size, self._max_samples - stats.count)
-            probes = simulator.run_block(size, probes=[SN_WIRE])
-            stats.push_batch(probes[SN_WIRE])
-            if stats.count >= self._block_size:
-                margin = 3.0 * stats.std_error
-                if stats.mean - margin > threshold or stats.mean + margin < threshold:
-                    converged = True
-                    break
-        mean = correlator.mean
-        return CheckResult(
-            satisfiable=mean > threshold,
-            mean=mean,
-            threshold=threshold,
-            samples_used=correlator.samples_integrated,
-            std_error=stats.std_error,
-            converged=converged,
-            expected_minterm_signal=self.minterm_signal,
-            engine=self.name,
-            bindings=dict(bindings or {}),
-        )
+        self._correlator = netlist.block("correlator")
+        return lambda size: simulator.run_block(size, probes=[SN_WIRE])[SN_WIRE]
+
+    def _observed(self, stats: RunningStats) -> tuple[float, int]:
+        return self._correlator.mean, self._correlator.samples_integrated
 
     def __repr__(self) -> str:
         return (

@@ -789,8 +789,8 @@ def _run_incremental(args: argparse.Namespace) -> int:
                 }.get(result.status, result.status)
                 print(f"s {verdict}")
                 if args.models and result.is_sat:
-                    lits = " ".join(map(str, result.assignment.to_literals()))
-                    print(f"v {lits} 0")
+                    lits = map(str, result.assignment.to_literals())
+                    print(" ".join(["v", *lits, "0"]))
             else:
                 raise ValueError(
                     f"line {line_number}: unknown command {command!r}"
@@ -875,7 +875,7 @@ def _run_solve(args: argparse.Namespace) -> int:
     if outcome.status == "SAT":
         print("SATISFIABLE")
         model = sorted(outcome.assignment, key=abs)
-        print("v", " ".join(map(str, model)), "0")
+        print(" ".join(["v", *map(str, model), "0"]))
         code = 10
     elif outcome.status == "UNSAT":
         print("UNSATISFIABLE")

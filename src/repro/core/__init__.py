@@ -4,7 +4,8 @@ Public surface:
 
 * :class:`NBLSATSolver` — facade combining Algorithm 1 (single-operation
   SAT check) and Algorithm 2 (satisfying-assignment determination);
-* :func:`nbl_sat_check` / :func:`nbl_sat_solve` — functional entry points;
+* :class:`SampledRealization` — Algorithm 1's observe-and-decide loop,
+  written once for every sampled realization (noise, sinusoids, analog);
 * :class:`SampledNBLEngine` — the Monte-Carlo realization the paper
   simulated in MATLAB, evaluating ``S_N`` through :class:`SNKernel`;
 * :class:`SymbolicNBLEngine` — the exact, infinite-observation limit;
@@ -17,16 +18,16 @@ from repro.core.config import NBLConfig, paper_figure1_config
 from repro.core.result import AssignmentResult, CheckResult
 from repro.core.sampled import (
     SampledNBLEngine,
+    SampledRealization,
     SNKernel,
     check_signal_level,
 )
 from repro.core.symbolic import SymbolicNBLEngine
-from repro.core.checker import ENGINE_NAMES, make_engine, nbl_sat_check
+from repro.core.checker import ENGINE_NAMES, make_engine
 from repro.core.assignment import (
     find_satisfying_assignment,
     find_satisfying_cube,
     find_prime_implicant_cube,
-    nbl_sat_solve,
 )
 from repro.core.solver import NBLSATSolver
 from repro.core.sigma import (
@@ -51,16 +52,15 @@ __all__ = [
     "AssignmentResult",
     "CheckResult",
     "SampledNBLEngine",
+    "SampledRealization",
     "SNKernel",
     "check_signal_level",
     "SymbolicNBLEngine",
     "ENGINE_NAMES",
     "make_engine",
-    "nbl_sat_check",
     "find_satisfying_assignment",
     "find_satisfying_cube",
     "find_prime_implicant_cube",
-    "nbl_sat_solve",
     "NBLSATSolver",
     "SigmaPlan",
     "sigma_samples",

@@ -11,7 +11,7 @@ satisfiable (don't-cares).
 
 The implementation works with *any* engine exposing
 ``check(bindings) -> CheckResult`` — the sampled engine, the symbolic
-engine, or the analog/SBL/RTW engines.
+engine, or the analog and SBL engines.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from typing import Optional, Protocol
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula, is_tautology
-from repro.core.config import NBLConfig
-from repro.core.checker import make_engine
 from repro.core.result import AssignmentResult, CheckResult
 
 
@@ -256,26 +254,3 @@ def find_prime_implicant_cube(
         dont_care_variables=dont_cares,
     )
 
-
-def nbl_sat_solve(
-    formula: CNFFormula,
-    engine: str = "sampled",
-    config: Optional[NBLConfig] = None,
-    cube: bool = False,
-) -> AssignmentResult:
-    """Convenience wrapper: run Algorithm 1 then Algorithm 2 on ``formula``.
-
-    Parameters
-    ----------
-    formula:
-        The CNF instance.
-    engine:
-        ``"sampled"`` or ``"symbolic"``.
-    config:
-        Engine configuration.
-    cube:
-        When ``True``, run the cube variant instead of the minterm variant.
-    """
-    concrete = make_engine(formula, engine, config)
-    finder = find_satisfying_cube if cube else find_satisfying_assignment
-    return finder(concrete)

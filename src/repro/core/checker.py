@@ -1,22 +1,22 @@
-"""Algorithm 1 — the single-operation NBL-SAT satisfiability check.
+"""The NBL-SAT engines selectable by name.
 
-:func:`nbl_sat_check` is the functional entry point matching the paper's
-``NBL-SAT check(S_N)`` pseudocode: build the NBL objects for a CNF instance,
-observe the average of ``S_N = τ_N · Σ_N`` and decide SAT/UNSAT.
+:func:`make_engine` builds the engine whose ``check(bindings)`` is the
+paper's ``NBL-SAT check(S_N)`` (Algorithm 1): observe the average of
+``S_N = τ_N · Σ_N`` for a CNF instance and decide SAT/UNSAT.
+:class:`~repro.core.solver.NBLSATSolver` is the facade over it.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from typing import Optional, Union
 
 from repro.cnf.formula import CNFFormula
 from repro.core.config import NBLConfig
-from repro.core.result import CheckResult
 from repro.core.sampled import SampledNBLEngine
 from repro.core.symbolic import SymbolicNBLEngine
 from repro.exceptions import EngineError
 
-#: Engines selectable by name in :func:`nbl_sat_check`.
+#: Engines selectable by name in :func:`make_engine`.
 ENGINE_NAMES = ("sampled", "symbolic")
 
 EngineLike = Union[SampledNBLEngine, SymbolicNBLEngine]
@@ -39,30 +39,3 @@ def make_engine(
         return SymbolicNBLEngine(formula, carrier)
     raise EngineError(f"unknown engine {engine!r}; available: {ENGINE_NAMES}")
 
-
-def nbl_sat_check(
-    formula: CNFFormula,
-    engine: str = "sampled",
-    config: Optional[NBLConfig] = None,
-    bindings: Optional[Mapping[int, bool]] = None,
-) -> CheckResult:
-    """Run one NBL-SAT satisfiability check (paper Algorithm 1).
-
-    Parameters
-    ----------
-    formula:
-        The CNF instance ``S``.
-    engine:
-        ``"sampled"`` or ``"symbolic"``.
-    config:
-        Engine configuration (carrier, sample budget, thresholds).
-    bindings:
-        Optional variable bindings of ``τ_N`` (used by Algorithm 2; a plain
-        check passes none).
-
-    Returns
-    -------
-    CheckResult
-        The SAT/UNSAT decision together with the observed mean of ``S_N``.
-    """
-    return make_engine(formula, engine, config).check(bindings)

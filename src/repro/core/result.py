@@ -37,7 +37,7 @@ class CheckResult:
         recording is enabled; empty otherwise.
     engine:
         Name of the engine that produced the result (``"sampled"``,
-        ``"symbolic"``, ``"analog"``, ``"sbl"``, ``"rtw"``).
+        ``"symbolic"``, ``"analog"``, ``"sbl"``).
     bindings:
         The variable bindings applied to ``τ_N`` for this check (Algorithm 2
         uses these reduced checks).

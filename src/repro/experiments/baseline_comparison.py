@@ -7,7 +7,7 @@ from typing import Sequence
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import random_ksat
 from repro.cnf.structured import pigeonhole_formula
-from repro.core.checker import nbl_sat_check
+from repro.core.solver import NBLSATSolver
 from repro.experiments.recording import ExperimentRecord
 from repro.solvers.registry import make_solver
 from repro.utils.rng import SeedLike
@@ -58,8 +58,9 @@ def run_baseline_comparison(
             "all complete agree",
         ],
     )
+    exact = NBLSATSolver("symbolic")
     for name, formula in instances:
-        nbl = nbl_sat_check(formula, engine="symbolic")
+        nbl = exact.check(formula)
         nbl_verdict = "SAT" if nbl.satisfiable else "UNSAT"
         verdicts: dict[str, str] = {}
         details: dict[str, str] = {}

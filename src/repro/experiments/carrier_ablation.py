@@ -11,7 +11,6 @@ from repro.experiments.recording import ExperimentRecord
 from repro.noise.gaussian import GaussianCarrier
 from repro.noise.telegraph import BipolarCarrier, TelegraphCarrier
 from repro.noise.uniform import UniformCarrier
-from repro.rtw.engine import RTWNBLEngine
 from repro.sbl.engine import SBLNBLEngine
 from repro.sbl.frequency_plan import FrequencyPlan
 from repro.utils.rng import SeedLike
@@ -37,7 +36,7 @@ def run_carrier_ablation(
 
     * sampled noise engine with uniform (paper), Gaussian, bipolar and
       slow-switching telegraph carriers;
-    * the RTW engine;
+    * the RTW engine: bipolar carriers with adaptive stopping;
     * the SBL engine with the dithered and the paper's equally spaced
       frequency plans;
     * the compiled analog netlist engine;
@@ -100,7 +99,15 @@ def run_carrier_ablation(
     )
     add_engine_row(
         "rtw engine",
-        lambda f: RTWNBLEngine(f, max_samples=max_samples, seed=seed),
+        lambda f: SampledNBLEngine(
+            f,
+            NBLConfig(
+                carrier=BipolarCarrier(),
+                max_samples=max_samples,
+                block_size=10_000,
+                seed=seed,
+            ),
+        ),
     )
     add_engine_row(
         "sbl / dithered plan",

@@ -15,7 +15,7 @@ from repro.cnf.structured import (
     pigeonhole_formula,
 )
 from repro.core.config import NBLConfig
-from repro.core.checker import nbl_sat_check
+from repro.core.solver import NBLSATSolver
 from repro.experiments.recording import ExperimentRecord
 from repro.noise.telegraph import BipolarCarrier
 from repro.solvers.brute_force import BruteForceSolver
@@ -82,14 +82,16 @@ def run_checker_validation(
         min_samples=min(10_000, num_samples),
         seed=seed,
     )
+    exact = NBLSATSolver("symbolic")
+    sampler = NBLSATSolver("sampled", config)
     for name, formula in instances:
         truth = oracle.solve(formula)
-        symbolic = nbl_sat_check(formula, engine="symbolic")
+        symbolic = exact.check(formula)
         truth_sat = truth.is_sat
         agree = symbolic.satisfiable == truth_sat
         nm = formula.num_variables * formula.num_clauses
         if nm <= max_sampled_nm:
-            sampled = nbl_sat_check(formula, engine="sampled", config=config)
+            sampled = sampler.check(formula)
             sampled_verdict = "SAT" if sampled.satisfiable else "UNSAT"
             sampled_samples: object = sampled.samples_used
             agree = agree and (sampled.satisfiable == truth_sat)

@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from repro.cnf.formula import CNFFormula
-from repro.core.result import CheckResult
-from repro.core.sampled import SNKernel, check_signal_level
-from repro.exceptions import EngineError
+from repro.core.sampled import SampledRealization, SNKernel
 from repro.sbl.carriers import SinusoidBank
 from repro.sbl.frequency_plan import FrequencyPlan
 from repro.utils.rng import SeedLike
-from repro.utils.stats import RunningStats
 
 
-class SBLNBLEngine:
+class SBLNBLEngine(SampledRealization):
     """NBL-SAT check using sinusoidal carriers instead of noise.
 
     The Σ_N / τ_N construction is identical to the sampled noise engine —
-    only the carrier bank differs. Because sinusoids are deterministic, a
-    check is reproducible sample-for-sample given the frequency plan and the
-    phase seed.
+    only the carrier bank differs, and the observation is the shared
+    :class:`~repro.core.sampled.SampledRealization` loop at a fixed budget.
+    Because sinusoids are deterministic, a check is reproducible
+    sample-for-sample given the frequency plan and the phase seed.
 
     For a satisfying minterm, each of the ``n·m`` matched carrier pairs
     contributes its time-average power ``amplitude²/2``, so the one-minterm
@@ -56,73 +56,36 @@ class SBLNBLEngine:
         amplitude: float = 1.0,
         seed: SeedLike = 0,
     ) -> None:
-        if formula.num_variables == 0 or formula.num_clauses == 0:
-            raise EngineError("SBL-SAT requires at least one variable and clause")
-        if max_samples <= 0 or block_size <= 0:
-            raise EngineError("max_samples and block_size must be positive")
-        if not 0.0 < decision_fraction < 1.0:
-            raise EngineError("decision_fraction must lie in (0, 1)")
-        self.formula = formula
-        self._max_samples = max_samples
-        self._block_size = min(block_size, max_samples)
-        self._decision_fraction = decision_fraction
+        power = amplitude**2 / 2.0
+        super().__init__(
+            formula,
+            power,
+            f"sinusoid carrier (power={power:.4g})",
+            max_samples=max_samples,
+            block_size=block_size,
+            decision_fraction=decision_fraction,
+        )
         self._amplitude = amplitude
         self._seed = seed
         self._plan = plan
         self._check_counter = 0
-        check_signal_level(
-            self.minterm_signal, f"sinusoid carrier (power={amplitude**2 / 2.0:.4g})"
-        )
         self._kernel = SNKernel(formula)
 
-    # -- derived quantities ------------------------------------------------------
-    @property
-    def minterm_signal(self) -> float:
-        """One-satisfying-minterm signal level ``(amplitude²/2)^{n·m}``."""
-        exponent = self.formula.num_variables * self.formula.num_clauses
-        return float((self._amplitude**2 / 2.0) ** exponent)
-
-    @property
-    def decision_threshold(self) -> float:
-        """The SAT/UNSAT threshold applied to the observed mean."""
-        return self._decision_fraction * self.minterm_signal
-
-    def _make_bank(self) -> SinusoidBank:
+    def _open(self, bindings: dict[int, bool]) -> Callable[[int], np.ndarray]:
         self._check_counter += 1
         seed = (
             None
             if self._seed is None
             else (hash((self._seed, self._check_counter)) & 0x7FFFFFFF)
         )
-        return SinusoidBank(
+        bank = SinusoidBank(
             num_clauses=self.formula.num_clauses,
             num_variables=self.formula.num_variables,
             plan=self._plan,
             amplitude=self._amplitude,
             seed=seed,
         )
-
-    # -- operations -----------------------------------------------------------------
-    def check(self, bindings: Optional[Mapping[int, bool]] = None) -> CheckResult:
-        """Algorithm 1 with sinusoidal carriers."""
-        bindings = dict(bindings or {})
-        bank = self._make_bank()
-        stats = RunningStats()
-        threshold = self.decision_threshold
-        while stats.count < self._max_samples:
-            size = min(self._block_size, self._max_samples - stats.count)
-            stats.push_batch(self._kernel.evaluate(bank.sample_block(size), bindings))
-        return CheckResult(
-            satisfiable=stats.mean > threshold,
-            mean=stats.mean,
-            threshold=threshold,
-            samples_used=stats.count,
-            std_error=stats.std_error,
-            converged=True,
-            expected_minterm_signal=self.minterm_signal,
-            engine=self.name,
-            bindings=bindings,
-        )
+        return lambda size: self._kernel.evaluate(bank.sample_block(size), bindings)
 
     def __repr__(self) -> str:
         return (

@@ -13,6 +13,7 @@ from repro.analog.compiler import (
 )
 from repro.analog.engine import AnalogSimulator
 from repro.cnf.formula import CNFFormula
+from repro.cnf.generators import random_ksat
 from repro.cnf.paper_instances import (
     example6_instance,
     example7_instance,
@@ -113,6 +114,12 @@ class TestAnalogNBLEngine:
         result = engine.check()
         assert result.engine == "analog"
         assert result.samples_used <= 30_000
+
+    def test_refuses_a_signal_that_underflows(self):
+        # Satisfiable, but (1/12)^(15·20) underflows float64: every check
+        # would read a mean and threshold of 0.0 and answer UNSAT.
+        with pytest.raises(EngineError):
+            AnalogNBLEngine(random_ksat(15, 20, seed=0)).check()
 
     def test_invalid_configuration(self):
         with pytest.raises(EngineError):

@@ -11,10 +11,10 @@ from repro.core.assignment import (
     find_prime_implicant_cube,
     find_satisfying_assignment,
     find_satisfying_cube,
-    nbl_sat_solve,
 )
 from repro.core.checker import make_engine
 from repro.core.config import NBLConfig
+from repro.core.solver import NBLSATSolver
 from repro.core.symbolic import SymbolicNBLEngine
 from repro.noise.telegraph import BipolarCarrier
 
@@ -140,11 +140,11 @@ class TestPrimeImplicantVariant:
 
 class TestNblSatSolve:
     def test_symbolic_solve(self, sat_instance):
-        result = nbl_sat_solve(sat_instance, engine="symbolic")
+        result = NBLSATSolver("symbolic").solve(sat_instance)
         assert result.satisfiable and result.verified
 
     def test_cube_flag(self, example6):
-        result = nbl_sat_solve(example6, engine="symbolic", cube=True)
+        result = NBLSATSolver("symbolic").solve(example6, cube=True)
         assert result.satisfiable
         assert result.dont_care_variables
 
@@ -153,13 +153,13 @@ class TestNblSatSolve:
             carrier=BipolarCarrier(), max_samples=60_000, block_size=15_000,
             min_samples=15_000, seed=21,
         )
-        result = nbl_sat_solve(sat_instance, engine="sampled", config=config)
+        result = NBLSATSolver("sampled", config).solve(sat_instance)
         assert result.satisfiable and result.verified
 
     def test_every_model_reported_is_a_model(self):
         for seed in range(4):
             formula = random_ksat(5, 12, 3, seed=seed)
-            result = nbl_sat_solve(formula, engine="symbolic")
+            result = NBLSATSolver("symbolic").solve(formula)
             if result.satisfiable:
                 assert formula.evaluate(result.assignment.as_dict())
                 models = {m.to_minterm_index(5) for m in enumerate_models(formula)}

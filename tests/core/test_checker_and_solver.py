@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cnf.formula import CNFFormula
-from repro.core.checker import ENGINE_NAMES, make_engine, nbl_sat_check
+from repro.core.checker import ENGINE_NAMES, make_engine
 from repro.core.config import NBLConfig
 from repro.core.sampled import SampledNBLEngine
 from repro.core.solver import NBLSATSolver
@@ -35,16 +35,16 @@ class TestMakeEngine:
 
 class TestNblSatCheck:
     def test_symbolic_decisions(self, sat_instance, unsat_instance):
-        assert nbl_sat_check(sat_instance, engine="symbolic").satisfiable
-        assert not nbl_sat_check(unsat_instance, engine="symbolic").satisfiable
+        assert NBLSATSolver("symbolic").check(sat_instance).satisfiable
+        assert not NBLSATSolver("symbolic").check(unsat_instance).satisfiable
 
     def test_sampled_decision(self, sat_instance, fast_bipolar_config):
-        result = nbl_sat_check(sat_instance, engine="sampled", config=fast_bipolar_config)
+        result = NBLSATSolver("sampled", fast_bipolar_config).check(sat_instance)
         assert result.satisfiable
         assert result.samples_used > 0
 
     def test_bindings_forwarded(self, sat_instance):
-        result = nbl_sat_check(sat_instance, engine="symbolic", bindings={1: True})
+        result = NBLSATSolver("symbolic").check(sat_instance, {1: True})
         assert not result.satisfiable  # only model is ~x1 x2
 
 

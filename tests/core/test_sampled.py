@@ -19,7 +19,6 @@ from repro.core.symbolic import SymbolicNBLEngine
 from repro.exceptions import EngineError
 from repro.noise.telegraph import BipolarCarrier
 from repro.noise.uniform import UniformCarrier
-from repro.rtw import RTWNBLEngine
 from repro.sbl import SBLNBLEngine
 
 
@@ -67,7 +66,7 @@ class TestSignalUnderflow:
 
     def test_rtw_and_sbl_engines_refuse_underflow(self):
         with pytest.raises(EngineError):
-            RTWNBLEngine(chain_formula(), amplitude=0.1)
+            SampledNBLEngine(chain_formula(), NBLConfig(carrier=BipolarCarrier(amplitude=0.1)))
         with pytest.raises(EngineError):
             SBLNBLEngine(chain_formula(40))  # (1/2)^1600
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import NBLConfig, NBLSATSolver, nbl_sat_check, nbl_sat_solve
+from repro import NBLConfig, NBLSATSolver
 from repro.analog.compiler import AnalogNBLEngine
 from repro.cnf import (
     CNFFormula,
@@ -18,7 +18,6 @@ from repro.core.assignment import find_satisfying_assignment
 from repro.core.symbolic import SymbolicNBLEngine
 from repro.hybrid import HybridNBLSolver
 from repro.noise import BipolarCarrier
-from repro.rtw import RTWNBLEngine
 from repro.sbl import SBLNBLEngine
 from repro.solvers import CDCLSolver, DPLLSolver
 
@@ -34,16 +33,16 @@ p cnf 3 4
 
     def test_parse_check_solve(self):
         formula = parse_dimacs(self.DIMACS)
-        check = nbl_sat_check(formula, engine="symbolic")
+        check = NBLSATSolver("symbolic").check(formula)
         assert check.satisfiable
-        solved = nbl_sat_solve(formula, engine="symbolic")
+        solved = NBLSATSolver("symbolic").solve(formula)
         assert solved.verified
         assert formula.evaluate(solved.assignment.as_dict())
 
     def test_roundtrip_preserves_decisions(self):
         formula = parse_dimacs(self.DIMACS)
         reparsed = parse_dimacs(to_dimacs(formula))
-        assert nbl_sat_check(reparsed, engine="symbolic").satisfiable
+        assert NBLSATSolver("symbolic").check(reparsed).satisfiable
 
 
 class TestEngineAgreementAcrossRealizations:
@@ -54,18 +53,21 @@ class TestEngineAgreementAcrossRealizations:
             carrier=BipolarCarrier(), max_samples=100_000, block_size=25_000,
             min_samples=25_000, seed=5,
         )
+        rtw = NBLConfig(
+            carrier=BipolarCarrier(), max_samples=100_000, block_size=10_000, seed=5
+        )
         engines_sat = [
             NBLSATSolver("symbolic").check(sat_instance),
             NBLSATSolver("sampled", config).check(sat_instance),
             AnalogNBLEngine(sat_instance, carrier=BipolarCarrier(), seed=5, max_samples=100_000).check(),
-            RTWNBLEngine(sat_instance, seed=5, max_samples=100_000).check(),
+            NBLSATSolver("sampled", rtw).check(sat_instance),
             SBLNBLEngine(sat_instance, seed=5, max_samples=150_000).check(),
         ]
         engines_unsat = [
             NBLSATSolver("symbolic").check(unsat_instance),
             NBLSATSolver("sampled", config).check(unsat_instance),
             AnalogNBLEngine(unsat_instance, carrier=BipolarCarrier(), seed=5, max_samples=100_000).check(),
-            RTWNBLEngine(unsat_instance, seed=5, max_samples=100_000).check(),
+            NBLSATSolver("sampled", rtw).check(unsat_instance),
             SBLNBLEngine(unsat_instance, seed=5, max_samples=150_000).check(),
         ]
         assert all(result.satisfiable for result in engines_sat)
@@ -76,7 +78,7 @@ class TestNBLVersusClassicalSolvers:
     @pytest.mark.parametrize("seed", range(4))
     def test_planted_instances_end_to_end(self, seed):
         formula, planted = planted_ksat(6, 18, 3, seed=seed)
-        nbl = nbl_sat_solve(formula, engine="symbolic")
+        nbl = NBLSATSolver("symbolic").solve(formula)
         dpll = DPLLSolver().solve(formula)
         cdcl = CDCLSolver().solve(formula)
         hybrid = HybridNBLSolver().solve(formula)
@@ -88,8 +90,8 @@ class TestNBLVersusClassicalSolvers:
         # The intro's EDA motivation: feasibility questions become SAT calls.
         triangle = graph_coloring_formula(cycle_graph_edges(3), 3, 3)
         infeasible = graph_coloring_formula(cycle_graph_edges(3), 3, 2)
-        assert nbl_sat_check(triangle, engine="symbolic").satisfiable
-        assert not nbl_sat_check(infeasible, engine="symbolic").satisfiable
+        assert NBLSATSolver("symbolic").check(triangle).satisfiable
+        assert not NBLSATSolver("symbolic").check(infeasible).satisfiable
         assert CDCLSolver().solve(infeasible).is_unsat
 
 

@@ -1,4 +1,4 @@
-"""Tests for the RTW realization."""
+"""Tests for the RTW realization: the sampled engine with telegraph-wave carriers."""
 
 from __future__ import annotations
 
@@ -10,37 +10,47 @@ from repro.cnf.paper_instances import (
     section4_unsat_instance,
 )
 from repro.core.assignment import find_satisfying_assignment
+from repro.core.config import NBLConfig
+from repro.core.sampled import SampledNBLEngine
 from repro.exceptions import EngineError
-from repro.rtw.engine import RTWNBLEngine, instantaneous_margin
+from repro.noise.telegraph import BipolarCarrier, TelegraphCarrier
+from repro.rtw.engine import instantaneous_margin
+
+
+def rtw_engine(formula, carrier=None, seed=0, max_samples=100_000):
+    """RTW carriers with adaptive stopping in blocks of 10k samples."""
+    config = NBLConfig(
+        carrier=carrier if carrier is not None else BipolarCarrier(),
+        max_samples=max_samples,
+        block_size=10_000,
+        seed=seed,
+    )
+    return SampledNBLEngine(formula, config)
 
 
 class TestRTWEngine:
     def test_decisions_on_paper_instances(self):
-        assert RTWNBLEngine(section4_sat_instance(), seed=1).check().satisfiable
-        assert not RTWNBLEngine(section4_unsat_instance(), seed=1).check().satisfiable
+        assert rtw_engine(section4_sat_instance(), seed=1).check().satisfiable
+        assert not rtw_engine(section4_unsat_instance(), seed=1).check().satisfiable
 
     def test_unit_power_signal(self):
-        engine = RTWNBLEngine(example6_instance())
+        engine = rtw_engine(example6_instance())
         assert engine.minterm_signal == pytest.approx(1.0)
         assert engine.decision_threshold == pytest.approx(0.5)
 
     def test_slow_switching_variant(self):
-        engine = RTWNBLEngine(
-            section4_sat_instance(), switch_probability=0.2, seed=2, max_samples=150_000
+        engine = rtw_engine(
+            section4_sat_instance(),
+            TelegraphCarrier(switch_probability=0.2),
+            seed=2,
+            max_samples=150_000,
         )
         assert engine.check().satisfiable
 
     def test_algorithm2_on_rtw(self):
-        engine = RTWNBLEngine(section4_sat_instance(), seed=3)
+        engine = rtw_engine(section4_sat_instance(), seed=3)
         result = find_satisfying_assignment(engine)
         assert result.satisfiable and result.verified
-
-    def test_engine_label(self):
-        assert RTWNBLEngine(example6_instance(), seed=0).check().engine == "rtw"
-
-    def test_invalid_switch_probability(self):
-        with pytest.raises(EngineError):
-            RTWNBLEngine(example6_instance(), switch_probability=0.0)
 
 
 class TestInstantaneousMargin:

@@ -177,7 +177,9 @@ class TestEngineLimit:
         path = tmp_path / "empty.cnf"
         path.write_text(text)
         assert main(["solve", str(path), *flags]) == code
-        assert "c winner=" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "c winner=" in out
+        assert ("v 0" in out.splitlines()) == (code == 10)
 
 
 class TestFigure1Command:
@@ -475,6 +477,13 @@ class TestIncrementalCommand:
         assert out.count("s UNSATISFIABLE") == 1
         assert "v " in out
         assert "4 queries" in out
+
+    def test_empty_model_line(self, tmp_path, capsys):
+        empty = tmp_path / "empty.cnf"
+        empty.write_text("p cnf 0 0\n")
+        script = self._write_script(tmp_path, f"load {empty}\nsolve\n")
+        assert main(["incremental", script, "--models"]) == 0
+        assert "v 0" in capsys.readouterr().out.splitlines()
 
     def test_load_dimacs_file(self, sat_file, tmp_path, capsys):
         script = self._write_script(tmp_path, f"load {sat_file}\nsolve\n")
