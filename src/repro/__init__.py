@@ -25,14 +25,20 @@ The package implements the paper's NBL-SAT scheme end-to-end:
   (``add_clause``/``solve(assumptions)``/``push``/``pop``) over every
   solver spec, native in the CDCL engine;
 * :mod:`repro.runtime` — the high-throughput serving layer: batch
-  ingestion, worker pools, per-instance solver selection and the
-  ``(fingerprint, assumptions)``-keyed result cache;
+  ingestion, the job executor, per-instance solver selection and the
+  sharded ``(fingerprint, assumptions)``-keyed result cache;
+* :mod:`repro.service` — the always-on solve server and its client;
 * :mod:`repro.telemetry` — structured tracing (nested spans), the
   process-wide metrics registry (Prometheus/JSON exporters) and the
   persistent ``BENCH_*.json`` performance trajectory;
 * :mod:`repro.analysis` — SNR / convergence / discrimination analysis;
 * :mod:`repro.experiments` — drivers reproducing the paper's figure and the
   derived tables.
+
+This package, :mod:`repro.cnf` and :mod:`repro.solvers` are lazy
+facades: a re-exported name is imported on first use. The classical path
+(parse, preprocess, CDCL, proofs, runtime, service, CLI) imports no NumPy;
+see ``docs/architecture.md`` for the layering rule.
 
 Quickstart::
 
@@ -46,21 +52,19 @@ Quickstart::
 """
 
 from repro._version import __version__
-from repro.core import (
-    AssignmentResult,
-    CheckResult,
-    NBLConfig,
-    NBLSATSolver,
-    SampledNBLEngine,
-    SymbolicNBLEngine,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "AssignmentResult",
-    "CheckResult",
-    "NBLConfig",
-    "NBLSATSolver",
-    "SampledNBLEngine",
-    "SymbolicNBLEngine",
-]
+__getattr__, __dir__, _exported = lazy_exports(
+    __name__,
+    {
+        "repro.core": (
+            "AssignmentResult",
+            "CheckResult",
+            "NBLConfig",
+            "NBLSATSolver",
+            "SampledNBLEngine",
+            "SymbolicNBLEngine",
+        ),
+    },
+)
+__all__ = ["__version__", *_exported]

@@ -44,7 +44,10 @@ from typing import Optional, Sequence
 
 from repro.cnf.dimacs import parse_dimacs_file
 from repro.cnf.formula import CNFFormula
-from repro.noise.base import available_carriers
+
+#: ``repro.noise.base.available_carriers()``, written out so that building
+#: the parser does not import NumPy (a test keeps the two equal).
+CARRIERS = ("bipolar", "gaussian", "telegraph", "uniform")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -101,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--carrier",
-            choices=available_carriers(),
+            choices=CARRIERS,
             default="uniform",
             help="carrier family for the sampled engine",
         )
@@ -242,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--carrier",
-        choices=available_carriers(),
+        choices=CARRIERS,
         default="uniform",
         help="carrier family for the sampled NBL engine",
     )
@@ -440,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--carrier",
-        choices=available_carriers(),
+        choices=CARRIERS,
         default="uniform",
         help="default carrier family for the sampled NBL engine",
     )

@@ -14,25 +14,22 @@ ground truth and classical reference points:
   :mod:`repro.solvers.cdcl`);
 * :class:`WalkSATSolver` / :class:`GSATSolver` — stochastic local search
   (incomplete: they can only answer "SAT" or "unknown").
+
+Names are imported on first use, so taking :class:`CDCLSolver` or the
+registry never loads the NumPy-backed brute-force enumerator.
 """
 
-from repro.solvers.base import SATSolver, SolverResult, SolverStats
-from repro.solvers.brute_force import BruteForceSolver
-from repro.solvers.dpll import DPLLSolver
-from repro.solvers.cdcl import CDCLSolver
-from repro.solvers.walksat import WalkSATSolver
-from repro.solvers.gsat import GSATSolver
-from repro.solvers.registry import available_solvers, make_solver
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SATSolver",
-    "SolverResult",
-    "SolverStats",
-    "BruteForceSolver",
-    "DPLLSolver",
-    "CDCLSolver",
-    "WalkSATSolver",
-    "GSATSolver",
-    "available_solvers",
-    "make_solver",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.solvers.base": ("SATSolver", "SolverResult", "SolverStats"),
+        "repro.solvers.brute_force": ("BruteForceSolver",),
+        "repro.solvers.dpll": ("DPLLSolver",),
+        "repro.solvers.cdcl": ("CDCLSolver",),
+        "repro.solvers.walksat": ("WalkSATSolver",),
+        "repro.solvers.gsat": ("GSATSolver",),
+        "repro.solvers.registry": ("available_solvers", "make_solver"),
+    },
+)

@@ -2,31 +2,36 @@
 
 Built in are the classical baselines, the two NBL engines
 (``"nbl-symbolic"``, ``"nbl-sampled"``) and the NBL-guided ``"hybrid"``.
-The registry is extensible: downstream code adds solvers with
-:func:`register_solver`, after which they are constructible by name
+A built-in is a name → ``(module, class)`` row, and its module is imported
+only when the name is made, so a ``cdcl`` process never loads the NBL
+stack or NumPy. The registry is extensible: downstream code adds solvers
+with :func:`register_solver`, after which they are constructible by name
 everywhere a solver name is accepted — the batch runtime, the solve
 service and the session factory.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Type
+import importlib
+from typing import Dict, Optional, Tuple, Type
 
 from repro.exceptions import SolverError
 from repro.solvers.base import SATSolver
-from repro.solvers.brute_force import BruteForceSolver
-from repro.solvers.cdcl import CDCLSolver
-from repro.solvers.dpll import DPLLSolver
-from repro.solvers.gsat import GSATSolver
-from repro.solvers.walksat import WalkSATSolver
 
-_SOLVERS: Dict[str, Type[SATSolver]] = {
-    BruteForceSolver.name: BruteForceSolver,
-    DPLLSolver.name: DPLLSolver,
-    CDCLSolver.name: CDCLSolver,
-    WalkSATSolver.name: WalkSATSolver,
-    GSATSolver.name: GSATSolver,
+#: Built-in solver name → ``(module, class name)``, imported on first use.
+_BUILTIN: Dict[str, Tuple[str, str]] = {
+    "brute-force": ("repro.solvers.brute_force", "BruteForceSolver"),
+    "dpll": ("repro.solvers.dpll", "DPLLSolver"),
+    "cdcl": ("repro.solvers.cdcl.solver", "CDCLSolver"),
+    "walksat": ("repro.solvers.walksat", "WalkSATSolver"),
+    "gsat": ("repro.solvers.gsat", "GSATSolver"),
+    "nbl-symbolic": ("repro.solvers.nbl", "SymbolicNBLSolver"),
+    "nbl-sampled": ("repro.solvers.nbl", "SampledNBLSolver"),
+    "hybrid": ("repro.hybrid.solver", "HybridNBLSolver"),
 }
+
+#: Solvers added by :func:`register_solver`; a name here shadows a built-in.
+_REGISTERED: Dict[str, Type[SATSolver]] = {}
 
 
 def register_solver(
@@ -43,8 +48,8 @@ def register_solver(
     name:
         Registry key; defaults to ``cls.name``.
     override:
-        Allow replacing an existing registration (off by default so typos
-        do not silently shadow a built-in).
+        Allow replacing an existing registration or a built-in name (off by
+        default so typos do not silently shadow a built-in).
 
     Returns
     -------
@@ -59,47 +64,28 @@ def register_solver(
     key = name if name is not None else cls.name
     if not key or key == "abstract":
         raise SolverError(f"solver class {cls.__name__} needs a non-default name")
-    if key in _SOLVERS and not override:
+    if (key in _BUILTIN or key in _REGISTERED) and not override:
         raise SolverError(
             f"solver name {key!r} is already registered; pass override=True "
             "to replace it"
         )
-    _SOLVERS[key] = cls
+    _REGISTERED[key] = cls
     return cls
 
 
 def available_solvers() -> list[str]:
-    """Names of all registered solvers."""
-    _ensure_extended_solvers()
-    return sorted(_SOLVERS)
+    """Names of all built-in and registered solvers; imports nothing."""
+    return sorted({*_BUILTIN, *_REGISTERED})
 
 
 def make_solver(name: str, **kwargs) -> SATSolver:
     """Instantiate a solver by registry name; ``kwargs`` go to its constructor."""
-    _ensure_extended_solvers()
-    try:
-        cls = _SOLVERS[name]
-    except KeyError as exc:
-        raise SolverError(
-            f"unknown solver {name!r}; available: {available_solvers()}"
-        ) from exc
+    cls = _REGISTERED.get(name)
+    if cls is None:
+        if name not in _BUILTIN:
+            raise SolverError(
+                f"unknown solver {name!r}; available: {available_solvers()}"
+            )
+        module, class_name = _BUILTIN[name]
+        cls = getattr(importlib.import_module(module), class_name)
     return cls(**kwargs)
-
-
-def _ensure_extended_solvers() -> None:
-    """Register solvers living outside :mod:`repro.solvers` exactly once.
-
-    The two NBL engine solvers (:mod:`repro.solvers.nbl`) and the hybrid
-    CPU + NBL-coprocessor solver (:mod:`repro.hybrid`) build on
-    :mod:`repro.core`, which this package does not import, and the hybrid
-    module imports this package (a cycle at import time); they are pulled
-    in lazily on first registry use.
-    """
-    if "hybrid" in _SOLVERS:
-        return
-    from repro.hybrid.solver import HybridNBLSolver
-    from repro.solvers.nbl import SampledNBLSolver, SymbolicNBLSolver
-
-    register_solver(SymbolicNBLSolver)
-    register_solver(SampledNBLSolver)
-    register_solver(HybridNBLSolver, name="hybrid")

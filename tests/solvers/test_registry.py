@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.cnf.formula import CNFFormula
@@ -10,6 +16,8 @@ from repro.exceptions import SolverError
 from repro.hybrid.solver import HybridNBLSolver
 from repro.solvers.base import SAT, UNKNOWN, SATSolver, SolverResult, SolverStats
 from repro.solvers.registry import available_solvers, make_solver, register_solver
+
+SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 
 class TestRegisterSolver:
@@ -38,7 +46,7 @@ class TestRegisterSolver:
         finally:
             from repro.solvers import registry
 
-            registry._SOLVERS.pop("toy-registry-test", None)
+            registry._REGISTERED.pop("toy-registry-test", None)
 
     def test_duplicate_registration_rejected_without_override(self):
         with pytest.raises(SolverError):
@@ -55,6 +63,65 @@ class TestRegisterSolver:
 
         with pytest.raises(SolverError):
             register_solver(Nameless)
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter, whose registry nothing has used yet."""
+    subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+
+
+class TestRegistrationBeforeFirstUse:
+    """A registration made before the registry is first used leaves the
+    other built-ins intact; each check runs in a fresh interpreter."""
+
+    def test_overriding_hybrid_keeps_the_nbl_engines(self):
+        _run_fresh(
+            """
+            from repro.exceptions import SolverError
+            from repro.solvers.base import SATSolver
+            from repro.solvers.registry import make_solver, register_solver
+
+            class Toy(SATSolver):
+                name = "toy"
+
+                def _solve(self, formula):
+                    raise NotImplementedError
+
+            register_solver(Toy, name="hybrid", override=True)
+            assert make_solver("nbl-symbolic").name == "nbl-symbolic"
+            assert type(make_solver("hybrid")) is Toy
+            try:
+                register_solver(Toy, name="nbl-sampled")
+            except SolverError as exc:
+                assert "already registered" in str(exc)
+            else:
+                raise AssertionError("a built-in name was taken without override")
+            """
+        )
+
+    def test_overriding_nbl_sampled_keeps_every_other_solver(self):
+        _run_fresh(
+            """
+            from repro.solvers.base import SATSolver
+            from repro.solvers.registry import make_solver, register_solver
+
+            class Toy(SATSolver):
+                name = "toy"
+
+                def _solve(self, formula):
+                    raise NotImplementedError
+
+            register_solver(Toy, name="nbl-sampled", override=True)
+            assert make_solver("cdcl").name == "cdcl"
+            assert make_solver("hybrid").name == "hybrid-nbl"
+            assert type(make_solver("nbl-sampled")) is Toy
+            """
+        )
 
 
 class TestTimeoutHook:

@@ -199,6 +199,24 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             main(["check", sat_file, "--engine", "quantum"])
 
+    def test_carrier_choices_match_the_noise_registry(self):
+        from repro.cli import CARRIERS
+        from repro.noise.base import available_carriers
+
+        assert list(CARRIERS) == available_carriers()
+
+    @pytest.mark.parametrize("command", ["check", "solve", "batch", "serve"])
+    def test_unknown_carrier_names_the_carriers(self, command, sat_file, capsys):
+        from repro.noise.base import available_carriers
+
+        argv = [command] + ([] if command == "serve" else [sat_file])
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--carrier", "bogus"])
+        assert excinfo.value.code != 0
+        err = capsys.readouterr().err
+        assert "bogus" in err
+        assert all(name in err for name in available_carriers())
+
     def test_help_states_exit_code_convention(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
